@@ -308,6 +308,74 @@ def check_perf406(module: LintModule) -> Iterator[Finding]:
             )
 
 
+_EMPTY_CONTAINERS = frozenset(("OrderedDict", "dict", "list", "set",
+                               "deque"))
+
+
+def _is_empty_container(expr: ast.expr) -> bool:
+    """``OrderedDict()``, ``dict()``, ``list()``, ``set()``,
+    ``deque()``, ``{}`` or ``[]`` — a fresh, empty container."""
+    if isinstance(expr, ast.Dict):
+        return not expr.keys
+    if isinstance(expr, ast.List):
+        return not expr.elts
+    if isinstance(expr, ast.Call) and not expr.args and not expr.keywords:
+        name = (dotted_name(expr.func) or "").split(".")[-1]
+        return name in _EMPTY_CONTAINERS
+    return False
+
+
+def _iterates_range(comp: ast.ListComp) -> bool:
+    return any(isinstance(gen.iter, ast.Call)
+               and dotted_name(gen.iter.func) == "range"
+               for gen in comp.generators)
+
+
+def check_perf407(module: LintModule) -> Iterator[Finding]:
+    """PERF407: a capacity-sized table of empty containers per instance.
+
+    ``self.sets = [OrderedDict() for _ in range(num_sets)]`` in
+    ``__init__`` allocates one container per modelled slot whether or
+    not anything ever lands there.  Every construction pays for it, and
+    so does every checkpoint snapshot, which pickles each empty
+    container (the 60 MB LLC alone is 65,536 sets).  Key a ``dict`` by
+    slot index and create entries on first use, as
+    :class:`~repro.mem.cache.SetAssociativeCache` does.  A table that is
+    genuinely dense (every slot filled at once) should carry
+    ``# reprolint: disable=PERF407`` with a comment saying why.
+    """
+    for func in ast.walk(module.tree):
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name == "__init__" and func.args.args):
+            continue
+        self_name = func.args.args[0].arg
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if not (isinstance(value, ast.ListComp)
+                    and _is_empty_container(value.elt)
+                    and _iterates_range(value)):
+                continue
+            for target in targets:
+                if (isinstance(target, ast.Attribute)
+                        and isinstance(target.value, ast.Name)
+                        and target.value.id == self_name):
+                    yield Finding(
+                        "PERF407", module.path, node.lineno,
+                        node.col_offset,
+                        f"`{self_name}.{target.attr}` is a capacity-sized "
+                        "table of empty containers: every construction "
+                        "and every snapshot pays for each slot; key a "
+                        "dict by slot index and create entries on first "
+                        "use, or suppress with a comment if the table is "
+                        "genuinely dense",
+                    )
+
+
 RULES = [
     Rule("PERF401", "redundant call_soon around an Event trigger",
          check_perf401),
@@ -321,4 +389,6 @@ RULES = [
          check_perf405),
     Rule("PERF406", "epoch loop polling an empty fabric every barrier",
          check_perf406),
+    Rule("PERF407", "capacity-sized table of empty containers per instance",
+         check_perf407),
 ]

@@ -4,12 +4,21 @@ The same structure models the host LLC (60 MB, 15-way), the device HMC
 (128 KB, 4-way) and DMC (32 KB, direct-mapped).  State, not data, is the
 primary payload: the coherence engines consult and mutate line states to
 decide which timed actions an access incurs.
+
+Storage is occupancy-sized: only sets holding at least one line exist,
+created on first insert and dropped when they empty.  Construction,
+memory and checkpoint payloads therefore scale with resident lines, not
+with the modelled capacity (the LLC alone has 65,536 sets).  Walks
+(``lines``, ``flush_all``) visit sets in ascending set index, so
+writeback and callback order follow the set index, not insertion.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from itertools import chain
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
 
 from repro.errors import CoherenceError, ConfigError
 from repro.mem.address import line_base
@@ -19,6 +28,10 @@ from repro.units import CACHELINE
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.races import RaceDetector
     from repro.lint.sanitizer import CoherenceSanitizer
+
+_LINE_MASK = ~(CACHELINE - 1)
+# Read-only stand-in for an absent set: lookups on it miss.
+_NO_LINES: Mapping[int, "CacheLine"] = MappingProxyType({})
 
 
 class CacheLine:
@@ -103,11 +116,10 @@ class SetAssociativeCache:
         self.size_bytes = size_bytes
         self.ways = ways
         self.num_sets = size_bytes // (ways * CACHELINE)
-        # Each set is an OrderedDict line_addr -> CacheLine in LRU order
-        # (least recent first).
-        self._sets: list[OrderedDict[int, CacheLine]] = [
-            OrderedDict() for __ in range(self.num_sets)
-        ]
+        # Occupied sets only: set index -> OrderedDict line_addr ->
+        # CacheLine in LRU order (least recent first).  A set is never
+        # present empty.
+        self._sets: dict[int, OrderedDict[int, CacheLine]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -128,18 +140,15 @@ class SetAssociativeCache:
     # -- geometry ----------------------------------------------------------
 
     def set_index(self, addr: int) -> int:
-        return (line_base(addr) // CACHELINE) % self.num_sets
-
-    def _set_for(self, addr: int) -> OrderedDict[int, CacheLine]:
-        return self._sets[self.set_index(addr)]
+        return (addr // CACHELINE) % self.num_sets
 
     # -- queries -----------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[CacheLine]:
         """Find the line containing ``addr``; update LRU order on hit."""
-        base = line_base(addr)
-        line_set = self._set_for(base)
-        line = line_set.get(base)
+        base = addr & _LINE_MASK
+        line_set = self._sets.get((addr // CACHELINE) % self.num_sets)
+        line = None if line_set is None else line_set.get(base)
         if line is None:
             self.misses += 1
             return None
@@ -150,7 +159,8 @@ class SetAssociativeCache:
 
     def peek(self, addr: int) -> Optional[CacheLine]:
         """Lookup without LRU or statistics side effects."""
-        return self._set_for(addr).get(line_base(addr))
+        return self._sets.get((addr // CACHELINE) % self.num_sets,
+                              _NO_LINES).get(addr & _LINE_MASK)
 
     def state_of(self, addr: int) -> LineState:
         line = self.peek(addr)
@@ -160,11 +170,12 @@ class SetAssociativeCache:
         return self.peek(addr) is not None
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def lines(self) -> Iterator[CacheLine]:
-        for line_set in self._sets:
-            yield from line_set.values()
+        """Resident lines, by ascending set index then LRU order."""
+        sets = self._sets
+        return chain.from_iterable([sets[i].values() for i in sorted(sets)])
 
     @property
     def capacity_lines(self) -> int:
@@ -185,9 +196,12 @@ class SetAssociativeCache:
         """
         if state is LineState.INVALID:
             raise CoherenceError("cannot insert a line in INVALID state")
-        base = line_base(addr)
+        base = addr & _LINE_MASK
         self._note_mutation(base)
-        line_set = self._set_for(base)
+        index = (addr // CACHELINE) % self.num_sets
+        line_set = self._sets.get(index)
+        if line_set is None:
+            line_set = self._sets[index] = OrderedDict()
         existing = line_set.get(base)
         if existing is not None:
             existing.state = state
@@ -220,7 +234,8 @@ class SetAssociativeCache:
         """Transition a resident line's state; INVALID removes the line."""
         base = line_base(addr)
         self._note_mutation(base)
-        line_set = self._set_for(base)
+        index = self.set_index(addr)
+        line_set = self._sets.get(index, _NO_LINES)
         line = line_set.get(base)
         if line is None:
             if state is LineState.INVALID:
@@ -230,6 +245,8 @@ class SetAssociativeCache:
             )
         if state is LineState.INVALID:
             del line_set[base]
+            if not line_set:
+                del self._sets[index]
             line.owner = None
         else:
             line.state = state
@@ -263,11 +280,17 @@ class SetAssociativeCache:
         caller owns any writeback decision on this path)."""
         base = line_base(addr)
         self._note_mutation(base)
-        line_set = self._set_for(base)
+        index = self.set_index(addr)
+        line_set = self._sets.get(index)
+        if line_set is None:
+            return False
         line = line_set.pop(base, None)
-        if line is not None:
-            line.owner = None
-        return bool(line and line.state.is_dirty)
+        if line is None:
+            return False
+        if not line_set:
+            del self._sets[index]
+        line.owner = None
+        return line.state.is_dirty
 
     def flush_all(self, writeback: Optional[Callable[[int], None]] = None) -> int:
         """Invalidate everything (CLFLUSH loop / device cache flush).
@@ -275,21 +298,20 @@ class SetAssociativeCache:
         Returns the number of dirty lines written back.
         """
         dirty = 0
-        for line_set in self._sets:
-            for line in line_set.values():
-                if line.state.is_dirty:
-                    dirty += 1
-                    if self.sanitizer is not None:
-                        self.sanitizer.on_dirty_evict(
-                            self, line, has_writeback=writeback is not None)
-                    if line.poisoned:
-                        self.poison_evictions += 1
-                        if self.poison_sink is not None:
-                            self.poison_sink(line.addr)
-                    if writeback is not None:
-                        writeback(line.addr)
-                line.owner = None
-            line_set.clear()
+        for line in self.lines():
+            if line.state.is_dirty:
+                dirty += 1
+                if self.sanitizer is not None:
+                    self.sanitizer.on_dirty_evict(
+                        self, line, has_writeback=writeback is not None)
+                if line.poisoned:
+                    self.poison_evictions += 1
+                    if self.poison_sink is not None:
+                        self.poison_sink(line.addr)
+                if writeback is not None:
+                    writeback(line.addr)
+            line.owner = None
+        self._sets.clear()
         return dirty
 
     def reset_stats(self) -> None:

@@ -790,6 +790,61 @@ def test_perf406_suppressible(tmp_path):
     assert rules == []
 
 
+# -- PERF407: capacity-sized table of empty containers ----------------------
+
+
+def test_perf407_flags_dense_set_table(tmp_path):
+    rules = lint_source(tmp_path, """
+        from collections import OrderedDict, deque
+
+        class Cache:
+            def __init__(self, num_sets):
+                self.sets = [OrderedDict() for _ in range(num_sets)]
+                self.queues: list = [deque() for _ in range(num_sets)]
+                self.maps = [{} for _ in range(num_sets)]
+                self.bins = [[] for i in range(2 * num_sets)]
+    """, select=["PERF407"])
+    assert rules == ["PERF407"] * 4
+
+
+def test_perf407_allows_sparse_and_non_attribute_tables(tmp_path):
+    """Occupancy-keyed dicts, per-call locals, filled slots and tables
+    built outside ``__init__`` are not per-instance capacity costs."""
+    rules = lint_source(tmp_path, """
+        from collections import OrderedDict
+
+        class Cache:
+            def __init__(self, num_sets, seeds):
+                self.sets = {}
+                self.counts = [0 for _ in range(num_sets)]
+                self.rngs = [list(s) for s in seeds]
+                self.primed = [OrderedDict(a=1) for _ in range(num_sets)]
+                buckets = [[] for _ in range(num_sets)]
+                self.first = buckets[0]
+
+            def reset(self, num_sets):
+                self.sets = [OrderedDict() for _ in range(num_sets)]
+
+        def shard(items, n):
+            out = [[] for _ in range(n)]
+            for i, item in enumerate(items):
+                out[i % n].append(item)
+            return out
+    """, select=["PERF407"])
+    assert rules == []
+
+
+def test_perf407_suppressible(tmp_path):
+    rules = lint_source(tmp_path, """
+        class Ring:
+            def __init__(self, slots):
+                # Every slot is written on the first revolution.
+                self.slots = [  # reprolint: disable=PERF407
+                    [] for _ in range(slots)]
+    """, select=["PERF407"])
+    assert rules == []
+
+
 def test_perf404_suppressible(tmp_path):
     rules = lint_source(tmp_path, """
         from repro.core.platform import Platform

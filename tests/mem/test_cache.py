@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -163,8 +165,9 @@ def test_property_occupancy_never_exceeds_capacity(ops):
     for line_idx, state in ops:
         cache.insert(line_idx * CACHELINE, state)
     assert len(cache) <= cache.capacity_lines
-    for line_set in cache._sets:
-        assert len(line_set) <= cache.ways
+    per_set = Counter(cache.set_index(line.addr) for line in cache.lines())
+    assert sum(per_set.values()) == len(cache)
+    assert all(n <= cache.ways for n in per_set.values())
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,12 +10,15 @@ work.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import default_system
+from repro.core.platform import Platform
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import (
     CHECKPOINT_STATS,
@@ -28,6 +31,7 @@ from repro.sim.checkpoint import (
 from repro.sim.engine import Simulator, Timeout
 from repro.sim.parallel import ForkSpec, derive_seed, run_forked_sweep
 from repro.sim.rng import DeterministicRng
+from repro.units import kib
 
 
 @pytest.fixture(autouse=True)
@@ -203,6 +207,29 @@ class TestStats:
         cp = snapshot(sim, label="sized")
         text = payload_summary(cp)
         assert "sized" in text and f"{len(cp.payload):,d} B" in text
+
+
+# -- payload size scales with resident lines, not modelled capacity ----------
+
+
+def _platform_payload_bytes(cfg=None) -> int:
+    # Ambient stores are process-global and depend on what ran before;
+    # the guard is about the Platform graph itself.
+    return len(snapshot(Platform(cfg, seed=42),
+                        include_ambient=False).payload)
+
+
+class TestPayloadSize:
+    def test_fresh_platform_is_small(self):
+        assert _platform_payload_bytes() < kib(32)
+
+    def test_doubling_the_llc_leaves_the_payload_unchanged(self):
+        cfg = default_system()
+        doubled = dataclasses.replace(
+            cfg, host=dataclasses.replace(cfg.host,
+                                          llc_mib=2 * cfg.host.llc_mib))
+        assert abs(_platform_payload_bytes(doubled)
+                   - _platform_payload_bytes(cfg)) <= kib(1)
 
 
 # -- ambient page-store accounting ------------------------------------------

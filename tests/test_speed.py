@@ -88,7 +88,7 @@ def test_committed_baseline_parses():
 
 class TestSpeedupFloors:
     def test_checkpoint_and_expcache_cells_are_gated(self):
-        assert speed.SPEEDUP_FLOORS["checkpoint_fork"] == 2.0
+        assert speed.SPEEDUP_FLOORS["checkpoint_fork"] == 4.0
         assert speed.SPEEDUP_FLOORS["expcache_warm"] == 5.0
 
     def test_speedup_below_floor_fails(self):
@@ -98,7 +98,7 @@ class TestSpeedupFloors:
                                 "speedup": 1.25}})
         failures = speed.compare(current, _payload())
         assert len(failures) == 1
-        assert "checkpoint_fork" in failures[0] and "2x" in failures[0]
+        assert "checkpoint_fork" in failures[0] and "4x" in failures[0]
 
     def test_speedup_above_floor_passes(self):
         current = dict(_payload(), speedups={
