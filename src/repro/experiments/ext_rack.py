@@ -177,6 +177,6 @@ def format_rss_trace(report: RackReport) -> str:
                 f"{cell.name}: fabric epochs {fs['epochs_run']:,d} run "
                 f"/ {fs['epochs_skipped']:,d} skipped "
                 f"({fs['ff_jumps']:,d} jumps, {demoted:,d} demoted); "
-                f"{fs['wires']:,d} wires ({fs['frames']:,d} framed, "
-                f"{fs['framed_bytes']:,d} B), {fs['bounces']:,d} bounces")
+                f"{fs['wires']:,d} wires ({fs['framed_bytes']:,d} B "
+                f"framed), {fs['bounces']:,d} bounces")
     return "\n".join(out)

@@ -260,7 +260,7 @@ def check_perf405(module: LintModule) -> Iterator[Finding]:
 #: count, or the fast-forward machinery itself).
 _PERF406_MARKERS = frozenset((
     "horizon", "idle_ns", "idle_min", "in_flight", "fastforward",
-    "fast_forward", "ff_jumps", "epochs_skipped", "rack_ff_enabled",
+    "fast_forward", "ff_jumps", "epochs_skipped",
 ))
 
 
@@ -274,7 +274,7 @@ def check_perf406(module: LintModule) -> Iterator[Finding]:
     :func:`repro.rack.cluster.run_rack` exists to skip.  The loop is
     clean when it consults a quiescence signal anywhere in its body:
     the shards' ``idle_ns`` horizons, ``Fabric.in_flight``,
-    ``Simulator.horizon()``, or the fast-forward gate itself.  A
+    ``Simulator.horizon()``, or the fast-forward counters.  A
     coordinator that genuinely must step every epoch (e.g. a lockstep
     trace comparator) should carry ``# reprolint: disable=PERF406``
     with a comment saying why.

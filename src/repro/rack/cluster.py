@@ -26,7 +26,6 @@ of ``--jobs``.  ``tests/rack/test_cluster.py`` pins this byte-exactly.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -45,29 +44,6 @@ from repro.sim.stats import StreamingLatencyStats
 #: Epochs the rack may keep running past the configured duration to
 #: drain in-flight fabric traffic and rebalance backlogs.
 DRAIN_EPOCH_LIMIT = 64
-
-_forced_ff: Optional[bool] = None
-
-
-def set_rack_ff(enabled: Optional[bool]) -> None:
-    """Force quiescent-epoch fast-forward on/off (None = env/default).
-    Coordinator-side only, so a forced value is honoured at any
-    ``--jobs`` (the fast-forward decision never runs in a worker)."""
-    global _forced_ff
-    if enabled not in (None, True, False):
-        raise ValueError(
-            f"set_rack_ff expects True/False/None, got {enabled!r}")
-    _forced_ff = enabled
-
-
-def rack_ff_enabled() -> bool:
-    """Fast-forward unless ``REPRO_RACK_FF=0`` (or a forced override)
-    pins legacy per-epoch stepping."""
-    if _forced_ff is not None:
-        return _forced_ff
-    return os.environ.get("REPRO_RACK_FF", "1").lower() \
-        not in ("0", "false", "off")
-
 
 @dataclass
 class RackResult:
@@ -95,8 +71,8 @@ class RackResult:
     store_keys: int
     finals: Tuple[FinalReport, ...]
     #: Per-run :data:`~repro.rack.fabric.FABRIC_STATS` delta: epochs
-    #: run/skipped, fast-forward jumps and demotions, wires, frames,
-    #: framed bytes, bounces.  Telemetry only — never part of stdout.
+    #: run/skipped, fast-forward jumps and demotions, wires, framed
+    #: bytes, bounces.  Telemetry only — never part of stdout.
     fabric_stats: Dict[str, int] = field(default_factory=dict)
 
     def stats(self) -> Dict[str, float]:
@@ -167,7 +143,6 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
     duration = cfg.duration_ns
     n_epochs = int(math.ceil(duration / epoch_ns))
     fabric = Fabric(cfg.fabric)
-    ff = rack_ff_enabled()
     stats_before = FABRIC_STATS.snapshot()
     # Epoch containing the armed kill instant: fast-forward must never
     # jump past it while the fault can still fire.
@@ -255,9 +230,9 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
             # the rack clock straight to its epoch.  Horizons are lower
             # bounds, so a pessimistic report only shortens the jump —
             # it never skips work.  The clock lands exactly on an epoch
-            # boundary the legacy loop would have reached, so the
+            # boundary per-epoch stepping would have reached, so the
             # trajectory is unchanged.
-            if ff and not done_load:
+            if not done_load:
                 idle_min = min(reports[sid].idle_ns for sid in sids)
                 target = (n_epochs if idle_min == float("inf")
                           else min(int(idle_min // epoch_ns), n_epochs))
@@ -282,7 +257,7 @@ def run_rack(cfg: RackConfig, jobs=None, probe=None,
                         if epoch >= n_epochs:
                             # Eligibility implied drained; jumping to
                             # n_epochs ends the run with the same
-                            # ``epochs`` stat the legacy loop reports.
+                            # ``epochs`` stat per-epoch stepping reports.
                             break
                 elif uncapped_skip > 0:
                     FABRIC_STATS.demoted_kill += 1

@@ -21,21 +21,19 @@ batch on one wire (one header, ``item_bytes`` per record).  Issuing one
 wire per request inside the serving loop is the shape lint rule PERF405
 flags — see docs/LINT.md.
 
-Framing: with the packed codec (default; ``REPRO_WIRE_CODEC=0`` pins
-the legacy tuple payloads) a wire carries one ``struct``-packed
-columnar frame — fixed-width lanes per field, migration value blobs
-deduplicated through the page-store content hash — instead of a tuple
-of per-item Python objects.  Crossing a process boundary then pickles
-one ``bytes`` object per wire rather than every record; decode is lazy
-and reproduces the exact tuples the legacy payload would have carried,
-so the codec is invisible to the trajectory (``nbytes``, the *modelled*
-wire size, never depends on it).  docs/RACK.md#epoch-fast-forward--wire-framing
-has the determinism contract.
+Framing: a wire carries one ``struct``-packed columnar frame —
+fixed-width lanes per field, migration value blobs deduplicated through
+the page-store content hash — instead of a tuple of per-item Python
+objects.  Crossing a process boundary then pickles one ``bytes`` object
+per wire rather than every record; decode is lazy and reproduces the
+exact item tuples the sender framed, so the codec is invisible to the
+trajectory (``nbytes``, the *modelled* wire size, never depends on it).
+docs/RACK.md#epoch-fast-forward--wire-framing has the determinism
+contract.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -55,7 +53,7 @@ class FabricStats:
     __slots__ = ("epochs_run", "epochs_skipped", "ff_jumps",
                  "demoted_inflight", "demoted_backlog",
                  "demoted_directives", "demoted_kill",
-                 "wires", "frames", "framed_bytes", "bounces")
+                 "wires", "framed_bytes", "bounces")
 
     def __init__(self) -> None:
         self.reset()
@@ -69,7 +67,6 @@ class FabricStats:
         self.demoted_directives = 0  # idle but directives queued
         self.demoted_kill = 0      # jump clamped by an armed kill plan
         self.wires = 0             # wires routed through Fabric.push
-        self.frames = 0            # of which packed-codec frames
         self.framed_bytes = 0      # actual frame bytes routed
         self.bounces = 0           # NACK bounces off retired hosts
 
@@ -78,31 +75,6 @@ class FabricStats:
 
 
 FABRIC_STATS = FabricStats()
-
-_forced_codec: Optional[bool] = None
-
-
-def set_wire_codec(enabled: Optional[bool]) -> None:
-    """Force the packed wire codec on/off (None = env/default).  Takes
-    effect for subsequently constructed :class:`FabricPort` instances —
-    the speed harness toggles it between cells.  Forced values do not
-    cross process boundaries; spawned shard workers read the
-    environment, so cross-worker tests must set ``REPRO_WIRE_CODEC``."""
-    global _forced_codec
-    if enabled not in (None, True, False):
-        raise ValueError(
-            f"set_wire_codec expects True/False/None, got {enabled!r}")
-    _forced_codec = enabled
-
-
-def wire_codec_enabled() -> bool:
-    """Packed columnar frames unless ``REPRO_WIRE_CODEC=0`` (or a forced
-    override) pins the legacy per-item tuple payloads."""
-    if _forced_codec is not None:
-        return _forced_codec
-    return os.environ.get("REPRO_WIRE_CODEC", "1").lower() \
-        not in ("0", "false", "off")
-
 
 @dataclass(frozen=True)
 class FabricConfig:
@@ -133,23 +105,6 @@ class FabricConfig:
 
     def arrival_ns(self, send_ns: float, nbytes: int) -> float:
         return send_ns + self.base_ns + nbytes * self.per_byte_ns
-
-
-@dataclass(frozen=True)
-class Wire:
-    """One message on the fabric."""
-
-    src: int
-    dst: int
-    kind: str          # "req" | "rep" | "nack" | "migrate"
-    send_ns: float
-    seq: int           # per-source counter; (src, seq) is unique
-    nbytes: int
-    payload: Tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.payload)
 
 
 def _encode_frame(kind: str, items: Sequence[Tuple]) -> bytes:
@@ -209,8 +164,8 @@ def _encode_frame(kind: str, items: Sequence[Tuple]) -> bytes:
 
 
 def _decode_frame(kind: str, frame: bytes) -> Tuple:
-    """Inverse of :func:`_encode_frame`; reproduces the exact tuple
-    payload the legacy codec would have carried (python ints/floats)."""
+    """Inverse of :func:`_encode_frame`: the framed items as a tuple of
+    tuples of python ints/floats (and ``bytes`` blobs for migrate)."""
     if kind == "migrate":
         n, m = struct.unpack_from("<II", frame, 0)
         off = 8
@@ -253,14 +208,15 @@ def _decode_frame(kind: str, frame: bytes) -> Tuple:
     return tuple(zip(*lanes))
 
 
-class PackedWire:
-    """Codec counterpart of :class:`Wire`: identical routing header,
-    payload held as one struct-packed frame.  Pickling ships only the
-    frame (``__reduce__`` drops the decode cache); ``payload`` decodes
-    lazily on first access, in-process and cross-process alike, so
-    ``--jobs 1`` and ``--jobs N`` execute the same code path.  ``nbytes``
-    remains the *modelled* wire size — the frame's actual length never
-    feeds back into arrival times."""
+class Wire:
+    """One message on the fabric: a routing header plus the payload held
+    as one struct-packed frame.  ``kind`` is "req" | "rep" | "nack" |
+    "migrate"; ``(src, seq)`` is unique.  Pickling ships only the frame
+    (``__reduce__`` drops the decode cache); ``payload`` decodes lazily
+    on first access, in-process and cross-process alike, so ``--jobs 1``
+    and ``--jobs N`` execute the same code path.  ``nbytes`` is the
+    *modelled* wire size — the frame's actual length never feeds back
+    into arrival times."""
 
     __slots__ = ("src", "dst", "kind", "send_ns", "seq", "nbytes",
                  "count", "frame", "_items")
@@ -285,11 +241,11 @@ class PackedWire:
         return items
 
     def __reduce__(self):
-        return (PackedWire, (self.src, self.dst, self.kind, self.send_ns,
+        return (Wire, (self.src, self.dst, self.kind, self.send_ns,
                              self.seq, self.nbytes, self.count, self.frame))
 
     def __repr__(self) -> str:
-        return (f"PackedWire(src={self.src}, dst={self.dst}, "
+        return (f"Wire(src={self.src}, dst={self.dst}, "
                 f"kind={self.kind!r}, send_ns={self.send_ns}, "
                 f"seq={self.seq}, nbytes={self.nbytes}, "
                 f"count={self.count})")
@@ -303,7 +259,6 @@ class FabricPort:
         self.cfg = cfg
         self._seq = 0
         self._out: List[Wire] = []
-        self._packed = wire_codec_enabled()
         self.sent_wires = 0
         self.sent_items = 0
         self.sent_bytes = 0
@@ -314,12 +269,8 @@ class FabricPort:
         if dst == self.sid:
             raise ValueError(f"shard {self.sid} sending to itself")
         nbytes = self.cfg.header_bytes + len(items) * self.cfg.item_bytes
-        if self._packed:
-            wire = PackedWire(self.sid, dst, kind, send_ns, self._seq,
-                              nbytes, len(items), _encode_frame(kind, items))
-        else:
-            wire = Wire(self.sid, dst, kind, send_ns, self._seq, nbytes,
-                        tuple(items))
+        wire = Wire(self.sid, dst, kind, send_ns, self._seq, nbytes,
+                    len(items), _encode_frame(kind, items))
         self._seq += 1
         self._out.append(wire)
         self.sent_wires += 1
@@ -354,10 +305,7 @@ class Fabric:
             self.routed_wires += 1
             self.routed_bytes += wire.nbytes
             stats.wires += 1
-            frame = getattr(wire, "frame", None)
-            if frame is not None:
-                stats.frames += 1
-                stats.framed_bytes += len(frame)
+            stats.framed_bytes += len(wire.frame)
 
     def bounce(self, wire: Wire, now_ns: float) -> Wire:
         """NACK a wire whose destination is off the ring: the switch
@@ -367,16 +315,10 @@ class Fabric:
         come from a fabric-owned counter offset far above any port's own
         range, keeping ``(src, seq)`` unique."""
         nbytes = self.cfg.header_bytes + wire.count * self.cfg.item_bytes
-        frame = getattr(wire, "frame", None)
-        if frame is not None:
-            # req and nack share a frame format: reuse the encoded
-            # bytes, no decode/re-encode round-trip.
-            nack: Wire = PackedWire(wire.dst, wire.src, "nack", now_ns,
-                                    self._bounce_seq, nbytes, wire.count,
-                                    frame)
-        else:
-            nack = Wire(wire.dst, wire.src, "nack", now_ns, self._bounce_seq,
-                        nbytes, wire.payload)
+        # req and nack share a frame format: reuse the encoded bytes, no
+        # decode/re-encode round-trip.
+        nack = Wire(wire.dst, wire.src, "nack", now_ns, self._bounce_seq,
+                    nbytes, wire.count, wire.frame)
         self._bounce_seq += 1
         self.bounced_wires += 1
         FABRIC_STATS.bounces += 1

@@ -606,11 +606,9 @@ class ShardHost:
                 else:
                     self._pending_remote[dst].append((user, issue))
             if local and not self.dead:
-                fake = Wire(self.sid, self.sid, "req", t1 - 1.0, -1, 0,
-                            tuple(local))
                 # Rebalance made these local: serve them here, at the
                 # epoch boundary (their fabric detour already paid).
-                self._serve_retried_local(fake, t1)
+                self._serve_retried_local(local, t1)
             elif local:
                 self._retry_items.extend(local)
         send_ns = t1 - 1.0
@@ -624,9 +622,10 @@ class ShardHost:
             self.remote_sent += len(items)
             self._pending_remote[dst] = []
 
-    def _serve_retried_local(self, wire: Wire, t1: float) -> None:
-        """Serve re-homed items that now belong to this shard."""
-        items = wire.payload
+    def _serve_retried_local(self, items: List[Tuple[int, float]],
+                             t1: float) -> None:
+        """Serve re-homed ``(user, issue)`` items that now belong to this
+        shard."""
         lane = self.cfg.servers_per_host
         n = len(items)
         base = np.full(n, self._read_service_ns)

@@ -12,7 +12,7 @@ CXL-DMSim and Cohet lean on for full-system CXL campaigns).
 A :func:`snapshot` captures, in one pickle payload:
 
 * the **engine** — clock, global sequence counter, and any pending
-  heap / timer-wheel / delta entries, so post-restore scheduling
+  timer-wheel / delta entries, so post-restore scheduling
   continues with exactly the ``(time, seq)`` ordering the original
   would have produced (tombstoned cancelled timers included: they must
   still pop at their slot for the clock trajectory to match);
@@ -35,7 +35,7 @@ tombstones).  :class:`~repro.errors.CheckpointError` says so, loudly,
 instead of producing a snapshot that silently dropped work.
 
 Determinism contract (pinned by ``tests/sim/test_checkpoint_equiv.py``
-exactly the way bulk off/on and wheel off/on are pinned): a point
+exactly the way bulk off/on is pinned): a point
 forked from a warm-up checkpoint produces **byte-identical** output to
 a cold run that executed the same warm-up followed by the same point.
 ``REPRO_CHECKPOINT=0`` (or :func:`set_checkpoint`\ ``(False)``) routes

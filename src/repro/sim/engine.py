@@ -1,26 +1,27 @@
 """The discrete-event engine: simulator clock, events, and processes.
 
-Hot-path design (see docs/PERFORMANCE.md): zero-delay work — every
-``call_soon``, event trigger, and process hand-off — bypasses the heap
+Hot-path design (see docs/PERFORMANCE.md): future work goes on a
+hierarchical timer wheel (:mod:`repro.sim.timers`); zero-delay work —
+every ``call_soon``, event trigger, and process hand-off — bypasses it
 and lands on a FIFO *delta queue* drained at the current timestamp.
 Both queues share one monotone sequence counter and :meth:`Simulator.run`
 merges them by it, so the documented contract — *equal timestamps fire
 in scheduling order* — is preserved exactly; the delta queue is a
 faster carrier for the same order, not a new ordering domain
-(pinned by ``tests/sim/test_engine_order.py``).
+(``tests/sim/test_engine_order.py`` replays it against a plain
+``(time, seq)`` heap oracle).
 """
 
 from __future__ import annotations
 
-import heapq
 from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Iterable, Optional
 
 from collections import deque
+from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
-from repro.sim.timers import (WHEEL_STATS, Timer, TimerWheel,
-                              timers_reap_enabled, wheel_enabled)
+from repro.sim.timers import Timer, TimerWheel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.races import RaceDetector
@@ -37,8 +38,6 @@ _NEAR_SPAN_NS = 4096.0
 
 # Shared args tuple for the ubiquitous `fn(None)` resume entries.
 _NONE_ARGS = (None,)
-
-_heappush = heapq.heappush
 
 
 class Timeout:
@@ -318,8 +317,8 @@ class Process:
             if cls is Timeout:
                 sim = self.sim
                 delay = command.delay
-                wheel = sim._wheel
-                if wheel is not None and 0.0 < delay < _NEAR_SPAN_NS:
+                if 0.0 < delay < _NEAR_SPAN_NS:
+                    wheel = sim._wheel
                     t = sim._now + delay
                     sim._seq = seq = sim._seq + 1
                     near = wheel.near
@@ -378,8 +377,8 @@ class Simulator:
     Events at equal timestamps fire in scheduling order.  Time is a float
     in nanoseconds and never decreases.
 
-    Two queues carry the work: a heap for future timestamps and a FIFO
-    *delta queue* for zero-delay callbacks at the current timestamp.
+    Two queues carry the work: a timer wheel for future timestamps and a
+    FIFO *delta queue* for zero-delay callbacks at the current timestamp.
     Every entry carries a globally monotone sequence number and the run
     loop merges the queues by it, so queue placement is invisible to the
     ordering contract.
@@ -388,20 +387,10 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[tuple[float, int, Callable[..., None], tuple]] = []
-        # Timer carrier: a hierarchical wheel (repro.sim.timers) unless
-        # REPRO_TIMERS=heap pins the classic heap.  Sampled once per
-        # simulator; both carriers share _seq, so firing order — and
-        # therefore every output byte — is identical either way.
-        self._wheel: Optional[TimerWheel] = \
-            TimerWheel() if wheel_enabled() else None
-        # Tombstone reaping (repro.sim.timers): cancelled timers register
-        # their carrier key so compaction can drop them instead of
-        # replaying the pop.  The heap carrier keeps its dead-set and
-        # phantom horizon here; the wheel carries its own.
-        self._reap = timers_reap_enabled()
-        self._heap_dead: set = set()
-        self._dead_horizon = 0.0
+        # Future timestamps: a hierarchical wheel (repro.sim.timers).
+        # Cancelled timers register their (time, seq) key with it so
+        # compaction can drop them instead of replaying the pop.
+        self._wheel = TimerWheel()
         # Zero-delay callbacks at the current time, FIFO in seq order.
         # Invariant: entries are only drained at the timestamp they were
         # appended at — time cannot advance while the queue is non-empty.
@@ -425,13 +414,9 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Live entries across all queues (heap/wheel/delta), cancelled-
+        """Live entries across both queues (wheel/delta), cancelled-
         timer tombstones included."""
-        n = len(self._heap) + len(self._delta)
-        wheel = self._wheel
-        if wheel is not None:
-            n += len(wheel)
-        return n
+        return len(self._wheel) + len(self._delta)
 
     @property
     def quiescent(self) -> bool:
@@ -473,11 +458,7 @@ class Simulator:
         if delay == 0.0:
             self._delta.append((seq, fn, args))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap, (self._now + delay, seq, fn, args))
-            else:
-                wheel.insert(self._now + delay, seq, fn, args, self._now)
+            self._wheel.insert(self._now + delay, seq, fn, args, self._now)
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -497,11 +478,7 @@ class Simulator:
         if at == self._now:
             self._delta.append((seq, fn, args))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap, (at, seq, fn, args))
-            else:
-                wheel.insert(at, seq, fn, args, self._now)
+            self._wheel.insert(at, seq, fn, args, self._now)
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -531,13 +508,8 @@ class Simulator:
         if delay == 0.0:
             self._delta.append((seq, ev.succeed, (value,)))
         else:
-            wheel = self._wheel
-            if wheel is None:
-                heapq.heappush(self._heap,
-                               (self._now + delay, seq, ev.succeed, (value,)))
-            else:
-                wheel.insert(self._now + delay, seq, ev.succeed, (value,),
-                             self._now)
+            self._wheel.insert(self._now + delay, seq, ev.succeed, (value,),
+                               self._now)
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
         return ev
@@ -547,79 +519,37 @@ class Simulator:
         ``event`` triggers with ``value`` after ``delay`` ns unless
         :meth:`Timer.cancel` runs first.
 
-        Cancel is O(1) and lazy — the tombstoned entry still pops at its
-        ``(time, seq)`` slot without triggering, so the clock's
-        trajectory (and every output byte) is identical whether or not
-        a timer was cancelled via the wheel or the heap carrier.  Use
-        this for timeout races that usually *don't* fire (doorbell
-        completion waits, RAS watchdogs): the skipped trigger saves the
-        dead event delivery that ``timeout_event`` would still pay.
-
-        With reaping enabled (the default) the handle also remembers its
-        carrier ``(time, seq)`` key, so a cancel can note the tombstone
-        for compaction — see :meth:`_note_timer_cancel`.
+        Cancel is O(1): the handle remembers its ``(time, seq)`` key,
+        and a cancel either drops the still-staged entry or notes the
+        tombstone for compaction (see :class:`Timer`).  The clock's
+        trajectory — and every output byte — is the same as if the
+        tombstone had popped at its slot without triggering.  Use this
+        for timeout races that usually *don't* fire (doorbell completion
+        waits, RAS watchdogs): the skipped trigger saves the dead event
+        delivery that ``timeout_event`` would still pay.
         """
-        if not self._reap or delay <= 0.0:
-            # Legacy path (REPRO_TIMERS_REAP=0 kill switch): eager event,
-            # lazy tombstone pop, no registration.
+        if delay <= 0.0:
+            # A zero-delay timer fires from the delta queue at ``now``;
+            # there is nothing to stage, so it carries no key.
             handle = Timer(Event(self, name="timer"))
             self.schedule(delay, handle._fire, value)
             return handle
         handle = Timer(None, self)
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
         t = self._now + delay
         key = (t, seq)
+        # Stage rather than insert: refill flushes the nursery before
+        # handing out any bucket at or past ``t``, and a cancel that
+        # beats the flush skips the wheel entirely.
         wheel = self._wheel
-        if wheel is None:
-            heapq.heappush(self._heap, (t, seq, handle._fire, (value,)))
-        else:
-            # Stage rather than insert: refill flushes the nursery
-            # before handing out any bucket at or past ``t``, and a
-            # cancel that beats the flush skips the wheel entirely.
-            wheel.nursery[key] = (t, seq, handle._fire, (value,))
-            wheel.count += 1
-            if t < wheel.nursery_min:
-                wheel.nursery_min = t
+        wheel.nursery[key] = (t, seq, handle._fire, (value,))
+        wheel.count += 1
+        if t < wheel.nursery_min:
+            wheel.nursery_min = t
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
         handle._key = key
         return handle
-
-    # -- tombstone reaping -------------------------------------------------
-    # Cancel-side bookkeeping lives inline in Timer.cancel (the hot
-    # path); the heap-carrier sweep lives here because the heap is the
-    # simulator's own structure.
-
-    def _reap_heap(self) -> int:
-        """Compact tombstoned entries out of the heap carrier; returns
-        the number removed.  Mutates ``self._heap`` in place so the
-        local binding a running :meth:`run` loop holds stays valid."""
-        dead = self._heap_dead
-        if not dead:
-            return 0
-        heap = self._heap
-        kept = []
-        horizon = self._dead_horizon
-        removed = 0
-        for entry in heap:
-            if (entry[0], entry[1]) in dead:
-                dead.discard((entry[0], entry[1]))
-                removed += 1
-                if entry[0] > horizon:
-                    horizon = entry[0]
-            else:
-                kept.append(entry)
-        if not removed:
-            return 0
-        heap[:] = kept
-        heapq.heapify(heap)
-        self._dead_horizon = horizon
-        stats = WHEEL_STATS
-        stats.reaped += removed
-        stats.reap_sweeps += 1
-        return removed
 
     def horizon(self) -> float:
         """Earliest pending live timestamp, or ``+inf`` when idle.
@@ -632,25 +562,20 @@ class Simulator:
         if self._delta:
             return self._now
         wheel = self._wheel
-        if wheel is not None:
-            if wheel.dead:
-                wheel.reap()
-            if wheel.ready:
-                return wheel.ready_time
-            nxt = wheel._far_next
-            near_times = wheel.near_times
-            if near_times and near_times[0] < nxt:
-                nxt = near_times[0]
-            # nursery_min is a (possibly stale-low) lower bound on the
-            # staged deadlines — a pessimistic horizon is safe: callers
-            # (the rack fast-forward) just jump a little shorter.
-            if wheel.nursery and wheel.nursery_min < nxt:
-                nxt = wheel.nursery_min
-            return nxt
-        if self._heap_dead:
-            self._reap_heap()
-        heap = self._heap
-        return heap[0][0] if heap else float("inf")
+        if wheel.dead:
+            wheel.reap()
+        if wheel.ready:
+            return wheel.ready_time
+        nxt = wheel._far_next
+        near_times = wheel.near_times
+        if near_times and near_times[0] < nxt:
+            nxt = near_times[0]
+        # nursery_min is a (possibly stale-low) lower bound on the staged
+        # deadlines — a pessimistic horizon is safe: callers (the rack
+        # fast-forward) just jump a little shorter.
+        if wheel.nursery and wheel.nursery_min < nxt:
+            nxt = wheel.nursery_min
+        return nxt
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a process; it takes its first step at the current time."""
@@ -666,82 +591,20 @@ class Simulator:
         Returns the final simulated time.  When ``until`` is given, the
         clock is advanced exactly to ``until`` even if the last event fired
         earlier.
-        """
-        # Hot loop: heap/delta/heappop bound locally, and the armed state
-        # is sampled once — arm sanitizers *before* calling run() (every
-        # Platform path does).  The disarmed loop carries no per-event
-        # race-detector probe at all.  Each timer carrier (wheel / heap)
-        # gets its own specialized pair of loops.
-        if self._wheel is not None:
-            return self._run_wheel(until)
-        heap = self._heap
-        delta = self._delta
-        heappop = heapq.heappop
-        if self.race_detector is None:
-            while heap or delta:
-                # Merge the two queues by sequence number: a delta entry
-                # is next unless a heap entry at the *same* timestamp was
-                # scheduled earlier (the heap head is never in the past).
-                if delta:
-                    if until is not None and self._now > until:
-                        break
-                    if heap:
-                        head = heap[0]
-                        if head[0] == self._now and head[1] < delta[0][0]:
-                            heappop(heap)
-                            head[2](*head[3])
-                            continue
-                    entry = delta.popleft()
-                    entry[1](*entry[2])
-                else:
-                    head = heap[0]
-                    at = head[0]
-                    if until is not None and at > until:
-                        break
-                    heappop(heap)
-                    self._now = at
-                    head[2](*head[3])
-        else:
-            while heap or delta:
-                if delta and (not heap or heap[0][0] != self._now
-                              or heap[0][1] > delta[0][0]):
-                    if until is not None and self._now > until:
-                        break
-                    seq, fn, args = delta.popleft()
-                else:
-                    at = heap[0][0]
-                    if until is not None and at > until:
-                        break
-                    at, seq, fn, args = heappop(heap)
-                    self._now = at
-                self.current_task = seq
-                owner = getattr(fn, "__self__", None)
-                self.current_actor = owner if isinstance(owner, Process) \
-                    else fn
-                fn(*args)
-        if until is not None:
-            if until > self._now:
-                self._now = until
-        elif self._dead_horizon > self._now:
-            # Phantom horizon: reaped tombstones would have popped (and
-            # advanced the clock) before the queues drained; land on the
-            # same final reading the lazy pops would have produced.
-            self._now = self._dead_horizon
-        return self._now
 
-    def _run_wheel(self, until: Optional[float]) -> float:
-        """The :meth:`run` loops for the timer-wheel carrier.
-
-        Merge rule (provably the same order the heap loops produce): the
-        ``ready`` bucket holds every live entry of one timestamp, all
-        scheduled strictly before the clock reached it — so when its
-        timestamp equals ``now``, every bucket entry's seq is smaller
-        than any delta entry's (delta work at ``now`` was enqueued while
-        draining) and the bucket drains first; when the bucket timestamp
-        is in the future, pending delta work at ``now`` drains first.
-        No per-event seq comparison is needed; the structure *is* the
-        order.
+        Merge rule: the wheel's ``ready`` bucket holds every live entry
+        of one timestamp, all scheduled strictly before the clock reached
+        it — so when its timestamp equals ``now``, every bucket entry's
+        seq is smaller than any delta entry's (delta work at ``now`` was
+        enqueued while draining) and the bucket drains first; when the
+        bucket timestamp is in the future, pending delta work at ``now``
+        drains first.  No per-event seq comparison is needed; the
+        structure *is* the ``(time, seq)`` order.
         """
+        # Hot loop: queues bound locally, and the armed state is sampled
+        # once — arm sanitizers *before* calling run() (every Platform
+        # path does).  The disarmed loop carries no per-event
+        # race-detector probe at all.
         wheel = self._wheel
         delta = self._delta
         ready = wheel.ready
@@ -797,7 +660,9 @@ class Simulator:
             if until > self._now:
                 self._now = until
         elif wheel.dead_horizon > self._now:
-            # Same phantom-horizon fold as the heap loops (see run()).
+            # Phantom horizon: reaped tombstones would have popped (and
+            # advanced the clock) before the queues drained; land on the
+            # same final reading the lazy pops would have produced.
             self._now = wheel.dead_horizon
         return self._now
 

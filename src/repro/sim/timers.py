@@ -1,10 +1,10 @@
 """Hierarchical timer wheel for the event engine.
 
-The heap serves arbitrary timestamp streams in O(log n) per operation,
-but the simulator's timer traffic is heavily *clustered*: doorbell
-timeouts, RAS reaping, retry backoff, and open-loop client periods all
-land on a handful of distinct deadlines at any instant, most of them
-near ``now``.  :class:`TimerWheel` exploits that shape with a
+A binary heap serves arbitrary timestamp streams in O(log n) per
+operation, but the simulator's timer traffic is heavily *clustered*:
+doorbell timeouts, RAS reaping, retry backoff, and open-loop client
+periods all land on a handful of distinct deadlines at any instant, most
+of them near ``now``.  :class:`TimerWheel` exploits that shape with a
 hierarchical calendar:
 
 * **near level** — a dict keyed by *exact* float deadline holding FIFO
@@ -25,53 +25,38 @@ hierarchical calendar:
   effectively cold.
 
 Ordering is the engine's documented contract — *equal timestamps fire
-in scheduling order* — and holds bit-for-bit against the heap path:
-a drained bucket carries exactly the entries of one timestamp, sorted
-by the same global sequence numbers the heap would have compared
-(``tests/sim/test_engine_order.py`` replays interleaved schedules both
-ways and diffs the traces).
+in scheduling order*: a drained bucket carries exactly the entries of
+one timestamp, sorted by their global sequence numbers, so the wheel
+fires in plain ``(time, seq)`` order (``tests/sim/test_engine_order.py``
+replays interleaved schedules against a heap oracle and diffs the
+traces).
 
-Cancellation is **lazy**: :meth:`Timer.cancel` marks a tombstone; the
-entry still occupies its slot and still pops at its ``(time, seq)``
-position in *both* timer modes, where :meth:`Timer._fire` skips the
-user-visible trigger.  The clock therefore advances through cancelled
-deadlines identically with the wheel on or off, which is what keeps
-experiment outputs byte-identical — O(1) cancel is the point: reaping
-an armed offload timeout no longer pays a heap delete or a drift in
-queue shape.
-
-**Tombstone reaping** (``REPRO_TIMERS_REAP``, default on) keeps the
-lazy-cancel contract without the drain cost.  Each cancel stays O(1) —
-a set-add of the entry's ``(time, seq)`` key — and the structure is
-*compacted* on cold paths only: when a cascade redistributes a far
-bucket its dead entries are dropped instead of re-homed, and when the
-tombstone ratio exceeds 1/2 a full sweep (:meth:`TimerWheel.reap`, or
-the heap-mode rebuild in the engine) removes every dead entry at once.
-The amortized cost per cancel is O(1) because a sweep only runs once
-the dead entries are the majority of the structure.  Byte-identity is
-preserved by the *dead horizon*: the maximum deadline among reaped
-tombstones is folded into the clock when an unbounded run drains —
-exactly where the lazily-popped tombstone would have left it — so the
-``(time, seq)`` trajectory of live work and the final ``now`` match
-the non-reaped run bit for bit (pinned in ``tests/sim``).
-
-Mode control follows the bulk fast-forward idiom: ``REPRO_TIMERS=heap``
-(or :func:`set_timers`\\ ``("heap")``) routes every timer through the
-classic heap; the wheel is the default.  The choice is sampled at
-:class:`~repro.sim.engine.Simulator` construction, as is the reaping
-flag.
+Cancellation (:meth:`Timer.cancel`) is O(1) and observationally lazy:
+the result is as if the entry still popped at its ``(time, seq)`` slot
+and :meth:`Timer._fire` skipped the user-visible trigger.  In practice
+it is *reaped* instead of drained.  A cancellable timer is first staged
+in the wheel's nursery, and a cancel that beats the flush deletes it
+outright.  Otherwise the cancel is a set-add of the entry's
+``(time, seq)`` key, and the structure is compacted on cold paths only:
+when a cascade redistributes a far bucket its dead entries are dropped
+instead of re-homed, and when the tombstone ratio exceeds 1/2 a full
+sweep (:meth:`TimerWheel.reap`) removes every dead entry at once.  The
+amortized cost per cancel is O(1) because a sweep only runs once the
+dead entries are the majority of the structure.  The *dead horizon*
+keeps the clock honest: the maximum deadline among reaped tombstones is
+folded into the clock when an unbounded run drains — exactly where the
+lazily-popped tombstone would have left it — so the ``(time, seq)``
+trajectory of live work and the final ``now`` are those of a lazy drain
+(pinned in ``tests/sim``).
 """
 
 from __future__ import annotations
 
-import os
 from heapq import heapify as _heapify, heappop, heappush
 from typing import Any, Callable, Optional
 
 __all__ = [
     "TimerWheel", "Timer", "WheelStats", "WHEEL_STATS",
-    "set_timers", "timers_mode", "wheel_enabled",
-    "set_timers_reap", "timers_reap_enabled",
     "NEAR_SPAN_NS", "LEVEL_SHIFTS",
 ]
 
@@ -86,58 +71,9 @@ _NEAR_SPAN_TICKS = 4096
 # slot array: only occupied buckets exist.
 LEVEL_SHIFTS = (12, 20, 28)
 
-_forced: Optional[str] = None
-
-
-def set_timers(mode: Optional[str]) -> None:
-    """Force the timer structure: ``"wheel"``, ``"heap"``, or ``None``
-    to defer to the ``REPRO_TIMERS`` environment variable."""
-    global _forced
-    if mode not in (None, "wheel", "heap"):
-        raise ValueError(f"set_timers expects 'wheel'/'heap'/None, "
-                         f"got {mode!r}")
-    _forced = mode
-
-
-def timers_mode() -> str:
-    """The effective timer mode for newly built simulators."""
-    if _forced is not None:
-        return _forced
-    env = os.environ.get("REPRO_TIMERS", "wheel").lower()
-    return "heap" if env in ("heap", "0", "false", "off") else "wheel"
-
-
-def wheel_enabled() -> bool:
-    return timers_mode() == "wheel"
-
-
-_forced_reap: Optional[bool] = None
-
-
-def set_timers_reap(enabled: Optional[bool]) -> None:
-    """Force tombstone reaping on/off; ``None`` defers to the
-    ``REPRO_TIMERS_REAP`` environment variable (default: on).  Sampled
-    at :class:`~repro.sim.engine.Simulator` construction."""
-    global _forced_reap
-    if enabled not in (None, True, False):
-        raise ValueError(f"set_timers_reap expects True/False/None, "
-                         f"got {enabled!r}")
-    _forced_reap = enabled
-
-
-def timers_reap_enabled() -> bool:
-    """Whether cancelled-timer tombstones are compacted out of the timer
-    structure (on) or drained lazily through their slots (off).  The
-    live-event trajectory and final clock are byte-identical either
-    way; only wall-clock differs."""
-    if _forced_reap is not None:
-        return _forced_reap
-    return os.environ.get("REPRO_TIMERS_REAP", "1").lower() not in (
-        "0", "false", "off")
-
 
 class WheelStats:
-    """Process-global wheel counters surfaced by ``repro speed``.
+    """Process-global wheel counters (the e2e benchmark reads them per op).
 
     Everything is accounted on cold or amortised paths (refill,
     cascade, far insert, cancel) so the hot schedule path carries no
@@ -200,7 +136,7 @@ class TimerWheel:
     The engine's run loop and schedule fast paths touch ``near``,
     ``near_times``, ``count``, ``ready`` and ``ready_time`` directly —
     they are the hot interface, deliberately plain attributes.  Entries
-    are ``(time, seq, fn, args)`` tuples, the same shape the heap uses.
+    are ``(time, seq, fn, args)`` tuples, so tuple order is firing order.
     """
 
     __slots__ = ("near", "near_times", "levels", "overflow", "count",
@@ -624,13 +560,12 @@ class Timer:
     """A cancellable timer handle from :meth:`Simulator.timer`.
 
     ``event`` triggers with the timer's value at the deadline unless
-    :meth:`cancel` ran first.  Cancellation is a tombstone: the
-    scheduled entry still pops at its ``(time, seq)`` — keeping the
-    clock's trajectory identical in wheel and heap modes — and the
-    trigger is simply skipped, so cancel is O(1) with no queue surgery.
-    When reaping is enabled the engine registers the carrier key on the
-    handle so cancel can also note the tombstone for later compaction
-    (still O(1): one set-add plus a counter check).
+    :meth:`cancel` ran first.  The engine registers the entry's
+    ``(time, seq)`` key on the handle, so cancel is O(1): it drops a
+    still-staged entry from the nursery, or notes the tombstone for
+    later compaction (one set-add plus a counter check).  A zero-delay
+    timer carries no key; its cancelled entry pops at its slot and the
+    trigger is simply skipped.
 
     The ``event`` itself is allocated lazily: timeout races that never
     fire — the whole reason this API exists — usually never wait on it
@@ -667,34 +602,27 @@ class Timer:
             WHEEL_STATS.cancelled += 1
             key = self._key
             if key is not None:
-                # Inlined tombstone note (this is the hot path the
-                # timers_reap speed cell measures): register the carrier
-                # key and compact once tombstones outnumber live
+                # Inlined tombstone note (the hot path the
+                # timeouts_cancelled engine bench measures): register
+                # the key and compact once tombstones outnumber live
                 # entries.  The entry would otherwise pop lazily at its
                 # (time, seq); reaping drops it early and folds the
-                # skipped deadline into the carrier's phantom horizon so
+                # skipped deadline into the wheel's phantom horizon so
                 # an unbounded run ends at the same clock reading.
-                sim = self._sim
-                wheel = sim._wheel
-                if wheel is not None:
-                    if wheel.nursery.pop(key, None) is not None:
-                        # Cancel beat the flush: the entry never reached
-                        # the wheel.  Fold where its lazy pop would have
-                        # left the clock and we are done.
-                        wheel.count -= 1
-                        if key[0] > wheel.dead_horizon:
-                            wheel.dead_horizon = key[0]
-                        WHEEL_STATS.reaped += 1
-                    else:
-                        dead = wheel.dead
-                        dead.add(key)
-                        if len(dead) * 2 > wheel.count:
-                            wheel.reap()
+                wheel = self._sim._wheel
+                if wheel.nursery.pop(key, None) is not None:
+                    # Cancel beat the flush: the entry never reached the
+                    # wheel.  Fold where its lazy pop would have left
+                    # the clock and we are done.
+                    wheel.count -= 1
+                    if key[0] > wheel.dead_horizon:
+                        wheel.dead_horizon = key[0]
+                    WHEEL_STATS.reaped += 1
                 else:
-                    dead = sim._heap_dead
+                    dead = wheel.dead
                     dead.add(key)
-                    if len(dead) * 2 > len(sim._heap):
-                        sim._reap_heap()
+                    if len(dead) * 2 > wheel.count:
+                        wheel.reap()
         return True
 
     @property
@@ -713,9 +641,4 @@ class Timer:
             WHEEL_STATS.dead_fired += 1
             key = self._key
             if key is not None:
-                sim = self._sim
-                wheel = sim._wheel
-                if wheel is not None:
-                    wheel.dead.discard(key)
-                else:
-                    sim._heap_dead.discard(key)
+                self._sim._wheel.dead.discard(key)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.rack.fabric import Fabric, FabricConfig, FabricPort, Wire
+from repro.rack.fabric import (Fabric, FabricConfig, FabricPort, Wire,
+                               _encode_frame)
 
 
 def test_config_enforces_conservative_lookahead():
@@ -42,15 +43,16 @@ def test_deliveries_sorted_by_arrival_src_seq_regardless_of_push_order():
     any shard interleaving byte-identical."""
     cfg = FabricConfig(epoch_ns=100.0, base_ns=100.0, per_byte_ns=0.0,
                        header_bytes=0, item_bytes=0)
+    empty = _encode_frame("req", ())
     wires = [
         Wire(src=2, dst=0, kind="req", send_ns=0.0, seq=0, nbytes=0,
-             payload=()),
+             count=0, frame=empty),
         Wire(src=1, dst=0, kind="req", send_ns=0.0, seq=0, nbytes=0,
-             payload=()),
+             count=0, frame=empty),
         Wire(src=1, dst=0, kind="req", send_ns=0.0, seq=1, nbytes=0,
-             payload=()),
+             count=0, frame=empty),
         Wire(src=1, dst=3, kind="rep", send_ns=50.0, seq=2, nbytes=0,
-             payload=()),
+             count=0, frame=empty),
     ]
     def run(order):
         fabric = Fabric(cfg)
@@ -90,6 +92,7 @@ def test_bounce_keeps_src_seq_unique_and_attributes_the_dead_host():
     assert nack.kind == "nack"
     assert nack.src == 5 and nack.dst == 0   # blamed on the dead host
     assert nack.payload == wire.payload
+    assert nack.frame is wire.frame          # req and nack share a format
     assert nack.seq >= 1 << 40               # outside any port's range
     second = fabric.bounce(wire, now_ns=500_000.0)
     assert second.seq != nack.seq

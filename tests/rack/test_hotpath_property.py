@@ -1,4 +1,4 @@
-"""Property: fast-forward never skips work (hypothesis, ISSUE 10).
+"""Property: fast-forward never skips work (hypothesis).
 
 The eligibility rule in :func:`repro.rack.cluster.run_rack` — jump only
 to ``min(idle horizons)``'s epoch, clamp to an armed kill window, and
@@ -7,25 +7,18 @@ directives are queued — must hold for *every* configuration, not just
 the handcrafted ones in test_hotpath_identity.  Hypothesis draws small
 rack configs (kill plans included, remote traffic forced so NACK
 bounces actually occur after a kill) and asserts the fast-forwarded
-trajectory equals legacy per-epoch stepping exactly.  Any skip past a
-pending arrival, an in-flight bounce, or the kill instant would change
+trajectory equals per-epoch stepping exactly.  Any skip past a pending
+arrival, an in-flight bounce, or the kill instant would change
 ``served``/``nacked``/``p99`` and fail the comparison.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.rack import RackConfig, run_rack
-from repro.rack.cluster import set_rack_ff
-
-
-@pytest.fixture(autouse=True)
-def _restore_gate():
-    yield
-    set_rack_ff(None)
+from tests.rack.test_hotpath_identity import run_stepped
 
 
 def _cfg(users, seed, utilization, remote_frac, kill_frac):
@@ -48,14 +41,12 @@ def _cfg(users, seed, utilization, remote_frac, kill_frac):
 def test_fastforward_never_skips_pending_work(users, seed, utilization,
                                               remote_frac, kill_frac):
     cfg = _cfg(users, seed, utilization, remote_frac, kill_frac)
-    set_rack_ff(True)
     ff = run_rack(cfg, jobs=1)
-    set_rack_ff(False)
-    legacy = run_rack(cfg, jobs=1)
-    assert ff.stats() == legacy.stats()
-    assert ff.killed == legacy.killed
+    stepped = run_stepped(cfg)
+    assert ff.stats() == stepped.stats()
+    assert ff.killed == stepped.killed
     # Accounting invariant: every epoch of the run was either stepped
     # or skipped, never both, never neither.
     fs = ff.fabric_stats
     assert fs["epochs_run"] + fs["epochs_skipped"] == ff.epochs
-    assert legacy.fabric_stats["epochs_skipped"] == 0
+    assert stepped.fabric_stats["epochs_skipped"] == 0

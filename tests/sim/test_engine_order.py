@@ -346,17 +346,17 @@ def test_new_simulator_is_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# Timer wheel vs heap: the wheel (repro.sim.timers) must replay every
-# interleaving of wheel/heap/delta traffic byte-identically against the
-# classic heap path — which is the pre-wheel engine, unchanged, and so
-# serves as the pinned reference.
+# Timer wheel vs heap: the engine (repro.sim.timers wheel + delta queue)
+# must replay every interleaving of near/far/delta traffic exactly like
+# the plain (time, seq) heap loop in tests/sim/heap_oracle.py.
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings          # noqa: E402
 from hypothesis import strategies as st         # noqa: E402
 
 from repro.lint.races import RaceDetector       # noqa: E402
-from repro.sim.timers import NEAR_SPAN_NS, set_timers   # noqa: E402
+from repro.sim.timers import NEAR_SPAN_NS       # noqa: E402
+from tests.sim.heap_oracle import HeapOracle    # noqa: E402
 
 # Delays spanning the delta queue (0), the near level, every far level,
 # and the overflow heap (~69 s out) — plus a float-extreme tiny delay.
@@ -373,15 +373,10 @@ _op = st.one_of(
 )
 
 
-def _replay(program, mode, armed=False):
-    """Run one generated schedule under the given timer mode; return the
-    full observable trace: (now, tag) in fire order, final clock, final
-    sequence counter."""
-    set_timers(mode)
-    try:
-        sim = Simulator()
-    finally:
-        set_timers(None)
+def _replay(program, sim, armed=False):
+    """Run one generated schedule on ``sim`` (a Simulator or the heap
+    oracle); return the full observable trace: (now, tag) in fire
+    order, final clock, final sequence counter."""
     if armed:
         RaceDetector(sim, strict=False).arm()
     trace = []
@@ -417,23 +412,22 @@ def _replay(program, mode, armed=False):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=14))
 def test_property_wheel_replays_heap_trace_exactly(program):
-    assert _replay(program, "wheel") == _replay(program, "heap")
+    assert _replay(program, Simulator()) == _replay(program, HeapOracle())
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(_op, min_size=1, max_size=10))
 def test_property_wheel_heap_parity_holds_with_race_detector_armed(program):
-    armed = _replay(program, "wheel", armed=True)
-    assert armed == _replay(program, "heap", armed=True)
     # Arming only observes; it must not perturb the schedule either.
-    assert armed == _replay(program, "heap", armed=False)
+    armed = _replay(program, Simulator(), armed=True)
+    assert armed == _replay(program, HeapOracle())
 
 
 def test_wheel_heap_parity_pinned_reference():
     """One handcrafted interleaving with its full trace pinned
     literally (captured from the pre-wheel heap engine), so a
-    simultaneous regression of both modes cannot slip through the
-    differential tests above."""
+    simultaneous regression of the engine and the oracle cannot slip
+    through the differential tests above."""
     program = [("call_soon",), ("schedule", 0.0), ("timeout_chain", 7.0, 2),
                ("timer", 0.5, None), ("schedule", 50_000.0),
                ("timeout_chain", 0.0, 1)]
@@ -441,14 +435,15 @@ def test_wheel_heap_parity_pinned_reference():
                  (0.5, "g3=g3-ok"), (7.0, "chain2.0"), (14.0, "chain2.1"),
                  (4, "sched")],
                 50_000.0, 13)
-    assert _replay(program, "heap") == expected
-    assert _replay(program, "wheel") == expected
+    assert _replay(program, HeapOracle()) == expected
+    assert _replay(program, Simulator()) == expected
+    assert _replay(program, Simulator(), armed=True) == expected
 
 
-def test_experiment_cell_byte_identical_wheel_on_off_ras_armed(monkeypatch):
+def test_experiment_cell_byte_identical_ras_armed_and_disarmed(monkeypatch):
     """A real fig8 zswap cell — doorbell watchdogs, RAS reaping, open
-    loop clients — produces identical results with the wheel on or off,
-    with sanitizers armed and disarmed."""
+    loop clients — produces identical results with sanitizers armed and
+    disarmed: arming only observes the timer traffic."""
     import dataclasses
 
     import repro.experiments.fig8_tail_latency as fig8
@@ -458,43 +453,26 @@ def test_experiment_cell_byte_identical_wheel_on_off_ras_armed(monkeypatch):
     from repro.units import ms
 
     scenario = ScenarioConfig(duration_ns=ms(20.0))
-
-    def cell(mode):
-        set_timers(mode)
-        try:
-            return run_zswap_cell("a", "cxl", scenario)
-        finally:
-            set_timers(None)
-
-    disarmed = cell("wheel")
-    assert disarmed == cell("heap")
+    disarmed = run_zswap_cell("a", "cxl", scenario)
 
     armed = SanitizerConfig(coherence=True, races=True, strict=True)
     base_config = fig8.sub_numa_half_system()
     monkeypatch.setattr(
         fig8, "sub_numa_half_system",
         lambda: dataclasses.replace(base_config, sanitizers=armed))
-    assert cell("wheel") == cell("heap")
+    assert run_zswap_cell("a", "cxl", scenario) == disarmed
 
 
-def test_fig8_sweep_byte_identical_wheel_on_off_at_jobs_1_and_4():
-    """The full sweep fans out across worker processes; neither the job
-    count nor the timer structure may change a single cell."""
+def test_fig8_sweep_byte_identical_at_jobs_1_and_4():
+    """The full sweep fans out across worker processes; the job count
+    may not change a single cell."""
     from repro.experiments.fig8_tail_latency import ScenarioConfig, run
     from repro.units import ms
 
     scenario = ScenarioConfig(duration_ns=ms(10.0))
 
-    def sweep(mode, jobs):
-        set_timers(mode)
-        try:
-            return run(features=("zswap",), workloads=("a",),
-                       backends=("none", "cxl"), scenario=scenario,
-                       jobs=jobs)
-        finally:
-            set_timers(None)
+    def sweep(jobs):
+        return run(features=("zswap",), workloads=("a",),
+                   backends=("none", "cxl"), scenario=scenario, jobs=jobs)
 
-    reference = sweep("heap", 1)
-    assert sweep("wheel", 1) == reference
-    assert sweep("wheel", 4) == reference
-    assert sweep("heap", 4) == reference
+    assert sweep(4) == sweep(1)

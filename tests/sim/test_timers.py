@@ -1,50 +1,18 @@
 """Hierarchical timer wheel: structure, cancellation, and heap parity.
 
 The wheel (repro.sim.timers) is a pure performance structure — its
-contract is that no observable ordering changes against the classic
-heap.  These tests cover the wheel's own mechanics (near/far/overflow
-routing, cascades, tombstones); the byte-for-byte replay property lives
-in tests/sim/test_engine_order.py next to the ordering spec it extends.
+contract is that no observable ordering changes against a plain heap.
+These tests cover the wheel's own mechanics (near/far/overflow routing,
+cascades, tombstones); the byte-for-byte replay property against the
+heap oracle lives in tests/sim/test_engine_order.py next to the
+ordering spec it extends.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import (LEVEL_SHIFTS, NEAR_SPAN_NS, TimerWheel,
-                              set_timers, timers_mode, wheel_enabled)
-
-
-@pytest.fixture(autouse=True)
-def _restore_timer_mode():
-    yield
-    set_timers(None)
-
-
-# ---------------------------------------------------------------------------
-# Mode plumbing
-# ---------------------------------------------------------------------------
-
-
-def test_mode_switch_controls_simulator_structure():
-    set_timers("heap")
-    assert timers_mode() == "heap" and not wheel_enabled()
-    assert Simulator()._wheel is None
-    set_timers("wheel")
-    assert Simulator()._wheel is not None
-    with pytest.raises(ValueError):
-        set_timers("calendar")
-
-
-def test_env_default_is_wheel(monkeypatch):
-    set_timers(None)
-    monkeypatch.delenv("REPRO_TIMERS", raising=False)
-    assert timers_mode() == "wheel"
-    monkeypatch.setenv("REPRO_TIMERS", "heap")
-    assert timers_mode() == "heap"
-    monkeypatch.setenv("REPRO_TIMERS", "0")
-    assert timers_mode() == "heap"
+from repro.sim.timers import LEVEL_SHIFTS, NEAR_SPAN_NS, TimerWheel
+from tests.sim.heap_oracle import HeapOracle
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +144,8 @@ def test_cancelled_timer_still_advances_clock_identically():
 
 
 def test_cancel_in_both_modes_is_equivalent():
-    def run(mode):
-        set_timers(mode)
-        sim = Simulator()
+    """Wheel-side reaping vs the heap oracle's lazy tombstone pops."""
+    def run(sim):
         out = []
 
         def guarded(tag, work_ns, timeout_ns):
@@ -195,7 +162,7 @@ def test_cancel_in_both_modes_is_equivalent():
         sim.run()
         return out, sim.now
 
-    assert run("wheel") == run("heap")
+    assert run(Simulator()) == run(HeapOracle())
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +188,6 @@ def test_bounded_run_does_not_wedge_later_earlier_timers():
     deadline used to leave that bucket parked in ``ready`` — every
     timer scheduled afterwards at an earlier deadline sat behind it and
     never fired (the rack's per-epoch heartbeats hit exactly this)."""
-    set_timers("wheel")
     sim = Simulator()
 
     def sleeper(delay):

@@ -1,15 +1,15 @@
-"""Tombstone-free timer reaping (ISSUE 10): equivalence + compaction.
+"""Timer reaping: equivalence + compaction.
 
-Reaping (``REPRO_TIMERS_REAP``, default on) must be observationally
-identical to the legacy lazy-cancel drain on both timer carriers — same
-fire order, same values, same final clock (the dead-horizon fold stands
-in for the tombstone pop at the end of an unbounded run).  On top of
+Reaping cancelled timers must be observationally identical to a lazy
+drain, where every tombstone pops at its slot and skips the trigger:
+same fire order, same values, same final clock (the dead-horizon fold
+stands in for the tombstone pop at the end of an unbounded run).  The
+lazy drain is the heap oracle in tests/sim/heap_oracle.py.  On top of
 the equivalence, these tests pin the mechanisms: nursery staging keeps
 cancel-before-flush watchdogs out of the wheel entirely, ratio-
 triggered sweeps compact what did get inserted, and ``WHEEL_STATS``
-reconciles so ``tombstones_pending`` no longer drifts upward forever
-(the satellite fix: ``cancelled`` alone over-reported outstanding
-timers on long racks).
+reconciles so ``tombstones_pending`` does not drift upward forever
+(``cancelled`` alone over-reports outstanding timers on long racks).
 """
 
 from __future__ import annotations
@@ -17,35 +17,13 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import (WHEEL_STATS, set_timers, set_timers_reap,
-                              timers_reap_enabled)
+from repro.sim.timers import WHEEL_STATS
+from tests.sim.heap_oracle import HeapOracle
 
 
-@pytest.fixture(autouse=True)
-def _restore_modes():
-    yield
-    set_timers(None)
-    set_timers_reap(None)
-
-
-def test_gate_plumbing(monkeypatch):
-    set_timers_reap(False)
-    assert not timers_reap_enabled()
-    set_timers_reap(None)
-    monkeypatch.delenv("REPRO_TIMERS_REAP", raising=False)
-    assert timers_reap_enabled()
-    monkeypatch.setenv("REPRO_TIMERS_REAP", "0")
-    assert not timers_reap_enabled()
-    with pytest.raises(ValueError):
-        set_timers_reap("on")
-
-
-def _watchdog_trajectory(carrier, reap):
+def _watchdog_trajectory(sim):
     """The RAS shape: long watchdogs armed and cancelled every step,
     some allowed to fire; returns (tick trace, final clock)."""
-    set_timers(carrier)
-    set_timers_reap(reap)
-    sim = Simulator()
     trace = []
 
     def proc(period, leak_every):
@@ -73,22 +51,25 @@ def _watchdog_trajectory(carrier, reap):
     return trace, sim.now
 
 
-@pytest.mark.parametrize("carrier", ["wheel", "heap"])
-def test_reap_is_observationally_identical(carrier):
-    assert _watchdog_trajectory(carrier, True) == \
-        _watchdog_trajectory(carrier, False)
+def test_reap_is_observationally_identical():
+    assert _watchdog_trajectory(Simulator()) == \
+        _watchdog_trajectory(HeapOracle())
 
 
-@pytest.mark.parametrize("reap", [True, False])
-def test_cancel_all_still_advances_clock(reap):
+@pytest.mark.parametrize("staged", [True, False])
+def test_cancel_all_still_advances_clock(staged):
     """Every timer cancelled: the dead-horizon fold must land the clock
-    exactly where draining the tombstones would have."""
-    set_timers_reap(reap)
+    exactly where draining the tombstones would have — whether the
+    cancels beat the nursery flush (``staged``) or hit entries already
+    in the wheel, where they are swept as tombstones."""
     sim = Simulator()
 
     def proc():
         timers = [sim.timer(100.0 * (i + 1)) for i in range(32)]
-        yield Timeout(5.0)
+        if staged:
+            yield Timeout(5.0)
+        else:
+            yield timers[0].event      # refill flushed the nursery
         for timer in timers:
             timer.cancel()
 
@@ -100,8 +81,6 @@ def test_cancel_all_still_advances_clock(reap):
 def test_nursery_absorbs_cancel_before_flush():
     """A watchdog cancelled before any refill needs its bucket never
     touches the far wheel: no insert, no tombstone, no sweep."""
-    set_timers("wheel")
-    set_timers_reap(True)
     WHEEL_STATS.reset()
     sim = Simulator()
 
@@ -132,8 +111,6 @@ def test_stats_reconcile_after_sweep_of_far_tombstones():
     flush — dumping the far group into the wheel proper — and only
     then cancel.  The dead ratio trips a sweep, and ``describe()``
     reconciles back to zero pending."""
-    set_timers("wheel")
-    set_timers_reap(True)
     WHEEL_STATS.reset()
     sim = Simulator()
 
@@ -156,32 +133,10 @@ def test_stats_reconcile_after_sweep_of_far_tombstones():
     assert sim.now == 1_000_000.0 + 63 * 16.0
 
 
-def test_reap_keeps_heap_carrier_clean():
-    set_timers("heap")
-    set_timers_reap(True)
-    sim = Simulator()
-
-    def proc():
-        timers = [sim.timer(1_000.0 + i) for i in range(100)]
-        yield Timeout(1.0)
-        for timer in timers:
-            timer.cancel()
-        yield Timeout(1.0)
-        # Ratio trigger: 100 dead vs tiny live population compacts.
-        assert len(sim._heap) < 50
-        assert not sim._heap_dead
-
-    sim.spawn(proc())
-    sim.run()
-    assert sim.now == 1099.0       # dead horizon: the last deadline
-
-
 def test_horizon_sees_through_tombstones_and_nursery():
     """`Simulator.horizon()` (the rack fast-forward input) must report
     the next *live* deadline: staged nursery entries count, cancelled
     entries do not pin it."""
-    set_timers("wheel")
-    set_timers_reap(True)
     sim = Simulator()
 
     def proc():

@@ -76,14 +76,29 @@ class TestCompare:
         assert speed.compare(current, baseline) == []
 
 
-def test_committed_baseline_parses():
+def _committed_baseline():
     from pathlib import Path
     path = (Path(__file__).parent.parent / "benchmarks" / "perf"
             / "baseline.json")
-    baseline = json.loads(path.read_text())
+    return json.loads(path.read_text())
+
+
+def test_committed_baseline_parses():
+    baseline = _committed_baseline()
     assert baseline["schema"] == speed.SCHEMA
     for cell in baseline["engine"].values():
         assert cell["events_per_sec"] > 0
+
+
+def test_committed_baseline_matches_the_harness():
+    """Every committed cell is one the harness still measures, and every
+    committed off/on cell is gated by a floor or a ceiling."""
+    baseline = _committed_baseline()
+    assert set(baseline["engine"]) == set(speed.ENGINE_BENCHES)
+    assert set(baseline["experiments"]) == set(speed.EXPERIMENT_BENCHES)
+    assert "rack_sparse" in baseline["experiments"]
+    gated = set(speed.SPEEDUP_FLOORS) | set(speed.OVERHEAD_CEILINGS)
+    assert set(baseline["speedups"]) == gated
 
 
 class TestSpeedupFloors:
