@@ -3,8 +3,10 @@
 Reaping cancelled timers must be observationally identical to a lazy
 drain, where every tombstone pops at its slot and skips the trigger:
 same fire order, same values, same final clock (the dead-horizon fold
-stands in for the tombstone pop at the end of an unbounded run).  The
-lazy drain is the heap oracle in tests/sim/heap_oracle.py.  On top of
+stands in for the tombstone pop at the end of an unbounded run).  Two
+lazy drains serve as references: the heap oracle in
+tests/sim/heap_oracle.py, and the wheel itself with sweeps disabled so
+wheel-resident tombstones pop at their slot.  On top of
 the equivalence, these tests pin the mechanisms: nursery staging keeps
 cancel-before-flush watchdogs out of the wheel entirely, ratio-
 triggered sweeps compact what did get inserted, and ``WHEEL_STATS``
@@ -17,20 +19,26 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import WHEEL_STATS
+from repro.sim.timers import WHEEL_STATS, TimerWheel
 from tests.sim.heap_oracle import HeapOracle
 
 
 def _watchdog_trajectory(sim):
     """The RAS shape: long watchdogs armed and cancelled every step,
-    some allowed to fire; returns (tick trace, final clock)."""
+    some allowed to fire; returns (tick trace, final clock).  Paced
+    processes wait on a short timer beside the watchdog, which forces
+    the nursery flush, so their cancels leave tombstones in the wheel
+    proper rather than being absorbed while staged."""
     trace = []
 
-    def proc(period, leak_every):
+    def proc(period, leak_every, paced):
         step = 0
         while step < 40:
             watchdog = sim.timer(period * 1000.0, f"bang-{step}")
-            yield Timeout(period)
+            if paced:
+                yield sim.timer(period).event
+            else:
+                yield Timeout(period)
             if leak_every and step % leak_every == 0:
                 pass               # leaked: fires far in the future
             else:
@@ -45,15 +53,27 @@ def _watchdog_trajectory(sim):
         trace.append((sim.now, value))
 
     for i in range(6):
-        sim.spawn(proc(1.0 + i * 0.7, leak_every=7 if i % 2 else 0))
+        sim.spawn(proc(1.0 + i * 0.7, leak_every=7 if i % 2 else 0,
+                       paced=i % 3 == 0))
     sim.spawn(absorber())
     sim.run()
     return trace, sim.now
 
 
-def test_reap_is_observationally_identical():
-    assert _watchdog_trajectory(Simulator()) == \
-        _watchdog_trajectory(HeapOracle())
+@pytest.mark.parametrize("reference", ["heap", "wheel"])
+def test_reap_is_observationally_identical(reference, monkeypatch):
+    WHEEL_STATS.reset()
+    reaped = _watchdog_trajectory(Simulator())
+    assert WHEEL_STATS.reap_sweeps > 0
+    if reference == "heap":
+        lazy = _watchdog_trajectory(HeapOracle())
+    else:
+        monkeypatch.setattr(TimerWheel, "reap", lambda self: 0)
+        WHEEL_STATS.reset()
+        lazy = _watchdog_trajectory(Simulator())
+        assert WHEEL_STATS.reap_sweeps == 0
+        assert WHEEL_STATS.dead_fired > 0
+    assert reaped == lazy
 
 
 @pytest.mark.parametrize("staged", [True, False])
