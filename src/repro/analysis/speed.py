@@ -1,11 +1,12 @@
 """Engine/experiment speed benchmarks -> ``BENCH_speed.json``.
 
 Everything else in this repo treats wall-clock time as a determinism
-hazard; this module is the one place it is the *measurand*.  Three
-engine microbenchmarks hammer the simulator's hot paths (pure Timeout
-heap traffic, zero-delay event chains through the delta queue, Resource
-acquire/release churn), three end-to-end experiments time the paths
-users actually run, and the process's peak RSS rounds out the picture.
+hazard; this module is the one place it is the *measurand*.  Engine
+microbenchmarks hammer the simulator's hot paths (Timeout traffic inside
+and beyond the wheel's near window, timer cancel churn, zero-delay event
+chains through the delta queue, Resource acquire/release churn),
+end-to-end experiments time the paths users actually run, and the
+process's peak RSS rounds out the picture.
 
 The output is machine-readable (``BENCH_speed.json``) so CI can diff it
 against a committed baseline (``benchmarks/perf/baseline.json``; see
@@ -35,9 +36,8 @@ SCHEMA = "repro-speed/1"
 # records measurements against exactly these shapes, and the committed
 # baseline assumes them.  Change them only together with both.
 
-def bench_timeouts(n_procs: int = 200, steps: int = 500) -> float:
-    """Pure heap traffic: many interleaved processes yielding Timeouts
-    with co-prime-ish periods, so heap order keeps shuffling."""
+def _run_timeouts(periods: list, steps: int) -> float:
+    """One process per period, each yielding ``steps`` Timeouts of it."""
     from repro.sim.engine import Simulator, Timeout
     sim = Simulator()
 
@@ -45,11 +45,25 @@ def bench_timeouts(n_procs: int = 200, steps: int = 500) -> float:
         for _ in range(steps):
             yield Timeout(period)
 
-    for i in range(n_procs):
-        sim.spawn(proc(1.0 + (i % 7) * 0.5))
+    for period in periods:
+        sim.spawn(proc(period))
     t0 = time.perf_counter()
     sim.run()
     return sim._seq / (time.perf_counter() - t0)
+
+
+def bench_timeouts(n_procs: int = 200, steps: int = 500) -> float:
+    """Pure timer traffic: many interleaved processes yielding Timeouts
+    with co-prime-ish periods, so heap order keeps shuffling."""
+    return _run_timeouts([1.0 + (i % 7) * 0.5 for i in range(n_procs)], steps)
+
+
+def bench_timeouts_far(n_procs: int = 200, steps: int = 500) -> float:
+    """The ``timeouts`` shape beyond the near window: every process has
+    its own period between 5 and 12 µs, the open-loop client and
+    service-time traffic of the fig8 sweep, so nearly every deadline is
+    distinct and lands on the wheel's far heap."""
+    return _run_timeouts([5000.0 + i * 35.0 for i in range(n_procs)], steps)
 
 
 def bench_event_chain(n: int = 100_000) -> float:
@@ -116,6 +130,7 @@ def bench_timeouts_cancelled(n_procs: int = 100, steps: int = 400) -> float:
 
 ENGINE_BENCHES: Dict[str, Callable[[], float]] = {
     "timeouts": bench_timeouts,
+    "timeouts_far": bench_timeouts_far,
     "timeouts_cancelled": bench_timeouts_cancelled,
     "event_chain": bench_event_chain,
     "resource_churn": bench_resource_churn,

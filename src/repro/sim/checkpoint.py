@@ -113,7 +113,9 @@ CHECKPOINT_STATS = CheckpointStats()
 
 # Persisted-snapshot header: refuse to restore a payload written under a
 # different schema instead of failing somewhere deep inside pickle.
-_FILE_MAGIC = b"repro-checkpoint/1\n"
+# Bump it whenever a pickled engine class changes its slots (/2: the
+# timer wheel's far levels became one far heap).
+_FILE_MAGIC = b"repro-checkpoint/2\n"
 
 
 def _ambient_state() -> Dict[str, Any]:

@@ -1,7 +1,7 @@
 """The discrete-event engine: simulator clock, events, and processes.
 
 Hot-path design (see docs/PERFORMANCE.md): future work goes on a
-hierarchical timer wheel (:mod:`repro.sim.timers`); zero-delay work —
+timer wheel (:mod:`repro.sim.timers`); zero-delay work —
 every ``call_soon``, event trigger, and process hand-off — bypasses it
 and lands on a FIFO *delta queue* drained at the current timestamp.
 Both queues share one monotone sequence counter and :meth:`Simulator.run`
@@ -21,7 +21,7 @@ from collections import deque
 from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
-from repro.sim.timers import Timer, TimerWheel
+from repro.sim.timers import NEAR_SPAN_NS, WHEEL_STATS, Timer, TimerWheel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.races import RaceDetector
@@ -31,10 +31,6 @@ ProcessGen = Generator[Any, Any, Any]
 # Triggered events hand their (cleared) callback lists back to the
 # simulator for reuse; the cap bounds the memory kept across bursts.
 _CB_POOL_MAX = 128
-
-# Deadlines closer than this go to the wheel's exact-time near level;
-# farther ones take its hierarchy (see repro.sim.timers).
-_NEAR_SPAN_NS = 4096.0
 
 # Shared args tuple for the ubiquitous `fn(None)` resume entries.
 _NONE_ARGS = (None,)
@@ -310,24 +306,29 @@ class Process:
             # Dispatch inline, hottest commands first: a Timeout is the
             # single most common yield across every model, a plain Event
             # the second; exact-type tests beat isinstance chains and the
-            # slow path keeps subclasses working.  The near-window wheel
-            # insert is flattened right here — dict hit + append — since
-            # process timeouts dominate every model's schedule traffic.
+            # slow path keeps subclasses working.  The wheel insert is
+            # flattened right here — dict hit + append near, one heappush
+            # far — since process timeouts dominate every model's
+            # schedule traffic.
             cls = command.__class__
             if cls is Timeout:
                 sim = self.sim
                 delay = command.delay
-                if 0.0 < delay < _NEAR_SPAN_NS:
+                if delay > 0.0:
                     wheel = sim._wheel
                     t = sim._now + delay
                     sim._seq = seq = sim._seq + 1
-                    near = wheel.near
-                    b = near.get(t)
-                    if b is None:
-                        near[t] = [(t, seq, self._step, _NONE_ARGS)]
-                        _heappush(wheel.near_times, t)
+                    if delay < NEAR_SPAN_NS:
+                        near = wheel.near
+                        b = near.get(t)
+                        if b is None:
+                            near[t] = [(t, seq, self._step, _NONE_ARGS)]
+                            _heappush(wheel.near_times, t)
+                        else:
+                            b.append((t, seq, self._step, _NONE_ARGS))
                     else:
-                        b.append((t, seq, self._step, _NONE_ARGS))
+                        _heappush(wheel.far, (t, seq, self._step, _NONE_ARGS))
+                        WHEEL_STATS.far_inserts += 1
                     wheel.count += 1
                     if sim.race_detector is not None:
                         sim.race_detector.note_schedule(seq,
@@ -387,7 +388,7 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        # Future timestamps: a hierarchical wheel (repro.sim.timers).
+        # Future timestamps: near calendar + far heap (repro.sim.timers).
         # Cancelled timers register their (time, seq) key with it so
         # compaction can drop them instead of replaying the pop.
         self._wheel = TimerWheel()
@@ -566,7 +567,7 @@ class Simulator:
             wheel.reap()
         if wheel.ready:
             return wheel.ready_time
-        nxt = wheel._far_next
+        nxt = wheel.far[0][0] if wheel.far else float("inf")
         near_times = wheel.near_times
         if near_times and near_times[0] < nxt:
             nxt = near_times[0]
@@ -625,7 +626,7 @@ class Simulator:
                     entry = delta.popleft()
                     entry[1](*entry[2])
                 elif wheel.count:
-                    wheel.refill(self._now)
+                    wheel.refill()
                     ready = wheel.ready
                 else:
                     break
@@ -642,7 +643,7 @@ class Simulator:
                         break
                     seq, fn, args = delta.popleft()
                 elif wheel.count:
-                    wheel.refill(self._now)
+                    wheel.refill()
                     ready = wheel.ready
                     continue
                 else:

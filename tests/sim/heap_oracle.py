@@ -10,7 +10,8 @@ it.
 
 It implements just the API the differential tests drive — ``spawn``,
 ``schedule``, ``call_soon``, ``timeout_event``, ``timer``, ``any_of``
-and an unbounded ``run`` — and spends sequence numbers exactly where
+and ``run`` with an optional ``until`` — and spends sequence numbers
+exactly where
 the engine does, so the final ``_seq`` can be compared too.  It models
 no race detector, failure propagation or nested generators.
 """
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import Timeout
 
@@ -119,15 +120,21 @@ class HeapOracle:
 
         self.call_soon(step, None)
 
-    def run(self) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         heap, delta = self._heap, self._delta
         while heap or delta:
             # A delta entry is next unless the heap head is due now and
             # was scheduled before it.
             if delta and not (heap and heap[0][0] == self.now
                               and heap[0][1] < delta[0][0]):
+                if until is not None and self.now > until:
+                    break
                 _seq, fn, args = delta.popleft()
             else:
+                if until is not None and heap[0][0] > until:
+                    break
                 self.now, _seq, fn, args = heappop(heap)
             fn(*args)
+        if until is not None and until > self.now:
+            self.now = until
         return self.now

@@ -183,6 +183,21 @@ class TestSaveLoad:
         with pytest.raises(CheckpointError, match="magic"):
             Checkpoint.load(str(path))
 
+    def test_previous_format_is_rejected(self, tmp_path):
+        """A file from before the far-heap wheel (header ``/1``) carries
+        a pickled ``TimerWheel`` with slots that no longer exist; it
+        must fail at the header, not deep inside unpickling."""
+        sim = Simulator()
+        sim.run()
+        path = tmp_path / "old.ckpt"
+        snapshot(sim, label="old").save(str(path))
+        body = path.read_bytes()
+        assert body.startswith(b"repro-checkpoint/2\n")
+        path.write_bytes(b"repro-checkpoint/1\n"
+                         + body[len(b"repro-checkpoint/2\n"):])
+        with pytest.raises(CheckpointError, match="magic"):
+            Checkpoint.load(str(path))
+
 
 # -- telemetry ---------------------------------------------------------------
 

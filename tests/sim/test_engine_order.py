@@ -358,8 +358,8 @@ from repro.lint.races import RaceDetector       # noqa: E402
 from repro.sim.timers import NEAR_SPAN_NS       # noqa: E402
 from tests.sim.heap_oracle import HeapOracle    # noqa: E402
 
-# Delays spanning the delta queue (0), the near level, every far level,
-# and the overflow heap (~69 s out) — plus a float-extreme tiny delay.
+# Delays spanning the delta queue (0), the near calendar, the far heap
+# from the span boundary out to ~80 s — plus a float-extreme tiny delay.
 _DELAYS = (0.0, 1e-9, 0.5, 7.0, NEAR_SPAN_NS - 1.0, NEAR_SPAN_NS,
            50_000.0, 3_000_000.0, 400_000_000.0, 80_000_000_000.0)
 
@@ -438,6 +438,59 @@ def test_wheel_heap_parity_pinned_reference():
     assert _replay(program, HeapOracle()) == expected
     assert _replay(program, Simulator()) == expected
     assert _replay(program, Simulator(), armed=True) == expected
+
+
+# Exact-float collisions between the far heap and the near calendar: a
+# far entry made at t=0 and near entries made after a bounded run, on
+# the same deadline.  Every value is a small dyadic rational, so
+# ``split + (deadline - split)`` lands on ``deadline`` bit for bit.
+_FAR_DEADLINES = (NEAR_SPAN_NS, 5000.0, 6000.5, 9000.0)
+_SPLITS = (0.0, 1000.0, 2000.0, 4000.0)
+
+_collision = st.tuples(st.sampled_from(_FAR_DEADLINES),
+                       st.sampled_from(_SPLITS),
+                       st.integers(min_value=1, max_value=3))
+
+
+def _replay_collisions(program, sim):
+    """Arm far work at t=0 (schedule, process Timeout, staged timer),
+    then for each split run ``until`` it and arm later work on the same
+    deadlines.  A marker just past each split makes the bounded run
+    refill and hand back (``unready``) a bucket, so the far deadlines
+    are still on the far heap when the near entries join them."""
+    trace = []
+
+    def sleeper(tag, delay):
+        yield Timeout(delay)
+        trace.append((sim.now, tag))
+
+    def waiter(tag, timer):
+        value = yield timer.event
+        trace.append((sim.now, tag, value))
+
+    for i, (deadline, split, _n) in enumerate(program):
+        sim.schedule(deadline, trace.append, (i, "far"))
+        sim.spawn(sleeper(f"p{i}", deadline))
+        sim.spawn(waiter(f"t{i}", sim.timer(deadline, i)))
+        sim.schedule(split + 0.5, trace.append, (i, "marker"))
+    for split in sorted({op[1] for op in program}):
+        sim.run(until=split)
+        trace.append(("split", sim.now))
+        for i, (deadline, at, n) in enumerate(program):
+            if at != split:
+                continue
+            for k in range(n):
+                sim.schedule(deadline - split, trace.append, (i, "near", k))
+            sim.spawn(sleeper(f"q{i}", deadline - split))
+    sim.run()
+    return trace, sim.now, sim._seq
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_collision, min_size=1, max_size=6))
+def test_property_far_and_near_collisions_replay_heap_trace(program):
+    assert (_replay_collisions(program, Simulator())
+            == _replay_collisions(program, HeapOracle()))
 
 
 def test_experiment_cell_byte_identical_ras_armed_and_disarmed(monkeypatch):

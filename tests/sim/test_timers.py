@@ -1,22 +1,22 @@
-"""Hierarchical timer wheel: structure, cancellation, and heap parity.
+"""Timer wheel: structure, cancellation, and heap parity.
 
 The wheel (repro.sim.timers) is a pure performance structure — its
 contract is that no observable ordering changes against a plain heap.
-These tests cover the wheel's own mechanics (near/far/overflow routing,
-cascades, tombstones); the byte-for-byte replay property against the
-heap oracle lives in tests/sim/test_engine_order.py next to the
-ordering spec it extends.
+These tests cover the wheel's own mechanics (near/far routing, the
+same-deadline merge, nursery flushes, tombstones); the byte-for-byte
+replay property against the heap oracle lives in
+tests/sim/test_engine_order.py next to the ordering spec it extends.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import LEVEL_SHIFTS, NEAR_SPAN_NS, TimerWheel
+from repro.sim.timers import NEAR_SPAN_NS, WHEEL_STATS, TimerWheel
 from tests.sim.heap_oracle import HeapOracle
 
 
 # ---------------------------------------------------------------------------
-# Wheel structure: routing and cascades
+# Wheel structure: routing, merging and flushing
 # ---------------------------------------------------------------------------
 
 
@@ -42,35 +42,62 @@ def test_near_entries_drain_in_time_then_seq_order():
                              (8.0, 1), (8.0, 3)]
 
 
-def test_far_and_overflow_entries_route_by_horizon():
+def test_near_and_far_route_at_the_span_boundary():
+    """Deadlines less than ``NEAR_SPAN_NS`` out go to the near calendar;
+    at the span and beyond they go to the far heap, relative to the
+    ``now`` of the insert."""
+    WHEEL_STATS.reset()
     wheel = TimerWheel()
-    near_t = NEAR_SPAN_NS / 2
-    far_t = float(1 << (LEVEL_SHIFTS[0] + 4))
-    deep_t = float(1 << (LEVEL_SHIFTS[-1] + 4))
-    overflow_t = float(1 << (LEVEL_SHIFTS[-1] + 9))
-    wheel.insert(near_t, 1, None, (), 0.0)
-    wheel.insert(far_t, 2, None, (), 0.0)
-    wheel.insert(deep_t, 3, None, (), 0.0)
-    wheel.insert(overflow_t, 4, None, (), 0.0)
-    assert len(wheel.near) == 1
-    assert len(wheel.overflow) == 1
-    assert _drain(wheel) == [(near_t, 1), (far_t, 2), (deep_t, 3),
-                             (overflow_t, 4)]
+    now = 1000.0
+    wheel.insert(now + NEAR_SPAN_NS - 1.0, 1, None, (), now)
+    wheel.insert(now + NEAR_SPAN_NS, 2, None, (), now)
+    wheel.insert(now + 80e9, 3, None, (), now)
+    assert list(wheel.near) == [now + NEAR_SPAN_NS - 1.0]
+    assert sorted(e[1] for e in wheel.far) == [2, 3]
+    assert WHEEL_STATS.far_inserts == 2
+    assert _drain(wheel) == [(now + NEAR_SPAN_NS - 1.0, 1),
+                             (now + NEAR_SPAN_NS, 2), (now + 80e9, 3)]
 
 
-def test_cascade_preserves_global_order_across_levels():
-    """Deadlines sprinkled across every level and the overflow heap must
-    still drain in exact (time, seq) order."""
+def test_near_and_far_entries_on_one_deadline_drain_in_seq_order():
+    """The merge path: a far entry made early and near entries made
+    later on the *same* float deadline come out as one bucket in seq
+    order, with the far entries merged in wherever their seqs fall."""
+    WHEEL_STATS.reset()
     wheel = TimerWheel()
-    times = []
-    seq = 0
-    for shift in (0, *LEVEL_SHIFTS, LEVEL_SHIFTS[-1] + 8):
-        for k in (1, 3, 7):
-            seq += 1
-            t = float((k << shift) + seq)
-            wheel.insert(t, seq, None, (), 0.0)
-            times.append((t, seq))
-    assert _drain(wheel) == sorted(times)
+    t = 5000.0
+    wheel.insert(t, 1, None, (), 0.0)          # far: 5000 ns out
+    wheel.insert(t, 3, None, (), 0.0)          # far
+    wheel.insert(t, 2, None, (), 2000.0)       # near: 3000 ns out
+    wheel.insert(t, 4, None, (), 2000.0)       # near
+    wheel.insert(t + 1.0, 5, None, (), 0.0)    # far, next deadline
+    assert len(wheel.near[t]) == 2 and len(wheel.far) == 3
+    wheel.refill()
+    assert wheel.ready_time == t
+    assert [e[1] for e in reversed(wheel.ready)] == [1, 2, 3, 4]
+    assert WHEEL_STATS.cascades == 1
+    assert _drain(wheel) == [(t, 1), (t, 2), (t, 3), (t, 4), (t + 1.0, 5)]
+
+
+def test_nursery_flush_lands_on_far():
+    """Staged cancellable timers go to the far heap when a refill
+    flushes them, whatever their distance, and still drain in (time,
+    seq) order beside near entries."""
+    WHEEL_STATS.reset()
+    wheel = TimerWheel()
+    for seq, t in ((1, 30.0), (2, 10.0)):
+        wheel.nursery[(t, seq)] = (t, seq, None, ())
+        wheel.count += 1
+        wheel.nursery_min = min(wheel.nursery_min, t)
+    wheel.insert(20.0, 3, None, (), 0.0)
+    wheel.insert(10.0, 4, None, (), 0.0)
+    wheel.refill()
+    assert not wheel.nursery and wheel.nursery_min == float("inf")
+    assert WHEEL_STATS.far_inserts == 2
+    assert wheel.ready_time == 10.0
+    assert [e[1] for e in reversed(wheel.ready)] == [2, 4]
+    assert [e[1] for e in wheel.far] == [1]
+    assert _drain(wheel) == [(10.0, 2), (10.0, 4), (20.0, 3), (30.0, 1)]
 
 
 def test_same_deadline_appends_keep_fifo_without_sort():

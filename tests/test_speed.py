@@ -45,6 +45,17 @@ def test_write_json_round_trips(payload, tmp_path):
     assert json.loads(path.read_text()) == payload
 
 
+def test_timeouts_far_bench_drives_the_far_heap():
+    """Every period is past the wheel's near window, so every timeout
+    is a far-heap push and no near deadline is ever made."""
+    from repro.sim.timers import WHEEL_STATS
+    WHEEL_STATS.reset()
+    assert speed.bench_timeouts_far(n_procs=4, steps=10) > 0
+    snap = WHEEL_STATS.snapshot()
+    assert snap["far_inserts"] == snap["fired"] == 40
+    assert snap["max_distinct_deadlines"] == 0
+
+
 def _payload(ev=1000.0, wall=1.0):
     return {"engine": {"b": {"events_per_sec": ev}},
             "experiments": {"e": {"wall_s": wall}}}
