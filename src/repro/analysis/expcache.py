@@ -16,20 +16,21 @@ The cache key is::
        every transitively imported ``repro.*`` module's source, found
        by a static AST walk (no execution, no import side effects),
      the determinism-relevant CLI arguments,
-     the ambient feature modes that select *what* is computed —
-       stats flavour and sanitizer arming)
+     the ambient modes that select *what* is computed — the ``keyed``
+       rows of :mod:`repro.flags`, today only the stats flavour)
 
-Deliberately **excluded** from the key: ``--jobs`` and the bulk /
-pagestore / workcache / checkpoint toggles — all are pinned
-byte-identical by CI, so a cache entry produced under one
-setting is valid under every other.  That exclusion is load-bearing:
-it is what lets a ``--jobs 4`` run serve a ``--jobs 1`` run's cache
-entry, and it is only sound because the byte-identity pins exist.
+Deliberately **excluded** from the key: ``--jobs`` and every other
+flag (bulk, workcache, checkpoint) — all are pinned byte-identical by
+CI, so a cache entry produced under one setting is valid under every
+other.  That exclusion is load-bearing: it is what lets a ``--jobs 4``
+run serve a ``--jobs 1`` run's cache entry, and it is only sound
+because the byte-identity pins exist.
 
 Entries are one JSON file per key digest under ``.repro_expcache/``
-(override with ``REPRO_EXPCACHE=<dir>``; disable with
-``REPRO_EXPCACHE=0`` or ``--no-expcache``), written atomically
-(tempfile + rename) so concurrent runs never observe a torn entry.
+(the ``expcache`` flag: ``REPRO_EXPCACHE=<dir>`` moves it,
+``REPRO_EXPCACHE=0`` or ``--no-expcache`` disables it), written
+atomically (tempfile + rename) so concurrent runs never observe a torn
+entry.
 """
 
 from __future__ import annotations
@@ -42,38 +43,14 @@ import os
 import tempfile
 from typing import Any, Dict, Iterable, Optional, Set
 
+from repro import flags
+
 __all__ = [
     "ExperimentCache", "ExpcacheStats", "EXPCACHE_STATS",
-    "module_fingerprint", "set_expcache", "expcache_enabled",
-    "expcache_dir", "DEFAULT_DIR",
+    "module_fingerprint", "ambient_modes", "DEFAULT_DIR",
 ]
 
-DEFAULT_DIR = ".repro_expcache"
-
-_forced: Optional[bool] = None
-
-
-def set_expcache(enabled: Optional[bool]) -> None:
-    """Force the experiment cache on/off; ``None`` defers to the
-    ``REPRO_EXPCACHE`` environment variable (default: on)."""
-    global _forced
-    _forced = enabled
-
-
-def expcache_enabled() -> bool:
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_EXPCACHE", "1").lower() not in (
-        "0", "false", "off")
-
-
-def expcache_dir() -> str:
-    """The cache directory: ``REPRO_EXPCACHE`` when it names a path
-    (anything but an on/off word), else ``.repro_expcache``."""
-    env = os.environ.get("REPRO_EXPCACHE", "").strip()
-    if env and env.lower() not in ("0", "1", "false", "true", "off", "on"):
-        return env
-    return DEFAULT_DIR
+DEFAULT_DIR: str = flags.FLAGS["expcache"].default
 
 
 class ExpcacheStats:
@@ -213,7 +190,8 @@ class ExperimentCache:
     """One JSON file per content-addressed key under ``root``."""
 
     def __init__(self, root: Optional[str] = None):
-        self.root = root if root is not None else expcache_dir()
+        self.root = root if root is not None else (
+            flags.get("expcache") or DEFAULT_DIR)
 
     def _path(self, digest: str) -> str:
         return os.path.join(self.root, f"{digest}.json")
@@ -277,14 +255,9 @@ class ExperimentCache:
         return removed
 
 
-def ambient_modes() -> Dict[str, str]:
-    """The feature modes that select *what* an experiment computes (and
-    therefore belong in the cache key).  Byte-identity-pinned toggles —
-    bulk, pagestore, workcache, checkpoint, jobs — are
-    deliberately absent: entries are valid across all of them.
-    """
-    from repro.sim.stats import stats_mode
-    return {
-        "stats": stats_mode(),
-        "sanitize": os.environ.get("REPRO_SANITIZE", ""),
-    }
+def ambient_modes() -> Dict[str, Any]:
+    """The ``keyed`` flags: the modes that select *what* an experiment
+    computes, and therefore belong in the cache key.  Every other flag is
+    pinned byte-identical, so entries are valid across all of them."""
+    return {flag.name: flags.get(flag.name)
+            for flag in flags.FLAGS.values() if flag.keyed}

@@ -28,6 +28,8 @@ import platform as _platform
 import time
 from typing import Any, Callable, Dict
 
+from repro import flags
+
 SCHEMA = "repro-speed/1"
 
 
@@ -342,14 +344,13 @@ def _best_wall(fn: Callable[[], None], rounds: int) -> float:
 def measure_speedups(rounds: int = 3) -> Dict[str, Any]:
     """Off-vs-on wall times for the bulk fast-forward (Fig-6 sweep) and
     the kernel work cache (zswap/ksm mix), plus their telemetry."""
-    from repro.kernel.workcache import WORK_CACHE, set_workcache
-    from repro.sim.bulk import BULK_STATS, set_bulk
+    from repro.kernel.workcache import WORK_CACHE
+    from repro.sim.bulk import BULK_STATS
 
     cells: Dict[str, Any] = {}
-    try:
-        set_bulk(False)
+    with flags.override(bulk=False):
         off = _best_wall(_exp_fig6_cxl_ldst, rounds)
-        set_bulk(True)
+    with flags.override(bulk=True):
         BULK_STATS.reset()
         on = _best_wall(_exp_fig6_cxl_ldst, rounds)
         cells["fig6_cxl_ldst"] = {
@@ -359,14 +360,9 @@ def measure_speedups(rounds: int = 3) -> Dict[str, Any]:
             "speedup": round(off / on, 2),
             "stats": BULK_STATS.snapshot(),
         }
-    finally:
-        set_bulk(None)
-    try:
-        set_bulk(False)
-        set_workcache(False)
+    with flags.override(bulk=False, workcache=False):
         off = _best_wall(_exp_zswap_ksm, rounds)
-        set_bulk(True)
-        set_workcache(True)
+    with flags.override(bulk=True, workcache=True):
         BULK_STATS.reset()
         WORK_CACHE.reset()
         on = _best_wall(_exp_zswap_ksm, rounds)
@@ -378,20 +374,15 @@ def measure_speedups(rounds: int = 3) -> Dict[str, Any]:
             "stats": WORK_CACHE.snapshot(),
             "bulk_stats": BULK_STATS.snapshot(),
         }
-    finally:
-        set_bulk(None)
-        set_workcache(None)
 
-    from repro.sim.checkpoint import CHECKPOINT_STATS, set_checkpoint
+    from repro.sim.checkpoint import CHECKPOINT_STATS
 
-    try:
-        # Work cache off on both sides: with it on, cold warm-ups 2..N
-        # are memoized codec hits and the cell would be measuring the
-        # work cache, not the checkpoint fork.
-        set_workcache(False)
-        set_checkpoint(False)
+    # Work cache off on both sides: with it on, cold warm-ups 2..N are
+    # memoized codec hits and the cell would be measuring the work
+    # cache, not the checkpoint fork.
+    with flags.override(workcache=False, checkpoint=False):
         off = _best_wall(_checkpoint_sweep, rounds)
-        set_checkpoint(True)
+    with flags.override(workcache=False, checkpoint=True):
         CHECKPOINT_STATS.reset()
         on = _best_wall(_checkpoint_sweep, rounds)
         cells["checkpoint_fork"] = {
@@ -401,9 +392,6 @@ def measure_speedups(rounds: int = 3) -> Dict[str, Any]:
             "speedup": round(off / on, 2),
             "stats": CHECKPOINT_STATS.snapshot(),
         }
-    finally:
-        set_checkpoint(None)
-        set_workcache(None)
 
     import shutil
     import tempfile

@@ -16,6 +16,7 @@ import sys
 import time
 from typing import Callable, Dict
 
+from repro import flags
 from repro.sim.parallel import SweepPoint, SweepSpec, resolve_jobs, run_sweep
 
 from repro.experiments import (
@@ -207,8 +208,8 @@ def _run_cached(name: str, args: argparse.Namespace) -> str:
     unchanged (code, args, modes) cell is served from disk, skipping
     the simulation entirely — sound because CI pins every experiment's
     stdout as a pure function of exactly that key."""
-    from repro.analysis.expcache import ExperimentCache, expcache_enabled
-    if (name not in CACHEABLE or not expcache_enabled()
+    from repro.analysis.expcache import ExperimentCache
+    if (name not in CACHEABLE or flags.get("expcache") is None
             or getattr(args, "no_expcache", False)):
         return RUNNERS[name](args)
     cache = ExperimentCache()
@@ -302,9 +303,12 @@ def main(argv=None) -> int:
         return lint_main(argv[1:])
     args = build_parser().parse_args(argv)
     args.jobs = resolve_jobs(args.jobs)
-    if args.checkpoint is not None:
-        from repro.sim.checkpoint import set_checkpoint
-        set_checkpoint(args.checkpoint == "on")
+    forced = {} if args.checkpoint is None else {"checkpoint": args.checkpoint}
+    with flags.override(**forced):
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.experiment == "all":
         # "report" re-runs everything; "speed" prints wall times, which
         # would make `all` output nondeterministic; "ext_scale" and

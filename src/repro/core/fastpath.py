@@ -42,6 +42,7 @@ import heapq
 from collections import deque
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro import flags
 from repro.core.requests import BiasMode, D2HOp, HostOp
 from repro.devices.dcoh import HOST_BIAS_WRITE_GAP_EXTRA_NS, DcohSlice
 from repro.errors import DeviceError, SimulationError
@@ -49,7 +50,7 @@ from repro.faults import NO_FAULTS
 from repro.interconnect.cxl import ACK_BYTES, DATA_BYTES, REQ_BYTES
 from repro.interconnect.link import Direction
 from repro.mem.coherence import LineState
-from repro.sim.bulk import BULK_STATS, bulk_enabled
+from repro.sim.bulk import BULK_STATS
 from repro.sim.engine import WakeAt
 from repro.units import CACHELINE
 
@@ -156,7 +157,7 @@ def _live_group(platform: Any) -> Optional[_TrainGroup]:
 
 def _static_block_reason(p: Any) -> Optional[str]:
     """Platform-wide conditions under which no train may ever run."""
-    if not bulk_enabled():
+    if not flags.get("bulk"):
         return "disabled"
     if p.coherence_sanitizer is not None or p.race_detector is not None:
         return "sanitizers"

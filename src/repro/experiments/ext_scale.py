@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro import flags
 from repro.apps.antagonist import Antagonist
 from repro.apps.kvs import RedisServer
 from repro.apps.latency import OpenLoopClient
@@ -37,9 +38,9 @@ from repro.core.platform import Platform
 from repro.errors import WorkloadError
 from repro.experiments.fig8_tail_latency import ScenarioConfig
 from repro.kernel.daemons import CostProfile, ReclaimDaemon
-from repro.sim.checkpoint import checkpoint_enabled, snapshot
+from repro.sim.checkpoint import snapshot
 from repro.sim.stats import (LatencyRecorder, LatencyStats,
-                             StreamingLatencyStats, stats_mode)
+                             StreamingLatencyStats)
 from repro.units import ms
 
 #: Documented accuracy bounds for streamed percentiles vs exact, on the
@@ -159,15 +160,15 @@ def run(requests: int = 5_000_000, rate_per_s: float = 32_000.0,
     """Drive ``requests`` total requests through the scale pipeline.
 
     ``mode`` picks the headline recorder (``None`` → ambient
-    ``REPRO_STATS``/:func:`~repro.sim.stats.set_stats` choice);
+    ``stats`` flag of :mod:`repro.flags`, ``REPRO_STATS``);
     ``compare_exact`` re-runs the identical simulation with an exact
     recorder and reports the streamed percentiles' relative error.
     """
-    effective = mode if mode is not None else stats_mode()
+    effective = mode if mode is not None else flags.get("stats")
     recorder: LatencyRecorder = (StreamingLatencyStats()
                                  if effective == "stream"
                                  else LatencyStats())
-    if checkpoint_enabled():
+    if flags.get("checkpoint"):
         # Warm up (platform + cxl cost calibration) once; the headline
         # run — and the shadow run below, when requested — each fork
         # from the snapshot.  Byte-identical to the cold path.

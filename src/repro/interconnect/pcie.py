@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
+from repro import flags
 from repro.config import PcieDeviceConfig
 from repro.interconnect.link import Direction, Link
-from repro.sim.bulk import BULK_STATS, bulk_enabled
+from repro.sim.bulk import BULK_STATS
 from repro.sim.engine import Simulator, Timeout, WakeAt
 from repro.sim.resources import Resource
 from repro.units import CACHELINE
@@ -42,7 +43,7 @@ class PciePort:
         reports.
         """
         beats = max(1, (nbytes + CACHELINE - 1) // CACHELINE)
-        if beats >= 2 and bulk_enabled():
+        if beats >= 2 and flags.get("bulk"):
             # The beats are process-local dependent Timeouts, so the
             # chain is one repeated addition regardless of concurrency.
             end = self.sim.now

@@ -24,42 +24,18 @@ shared canonical object would propagate the poison to innocent
 mappings.  Callers pass ``poisoned=True`` and get their private buffer
 back unshared.
 
-Control follows the work-cache idiom: ``REPRO_PAGESTORE=0`` disables
-interning (every caller keeps its private buffer); default on.  The
-global :data:`PAGE_STORE` is surfaced by ``repro speed`` via
-:meth:`snapshot` — intern hit rate and bytes deduplicated.
+Interning is always on.  The global :data:`PAGE_STORE` is surfaced by
+``repro speed`` via :meth:`snapshot` — intern hit rate and bytes
+deduplicated.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 from repro.kernel.workcache import cached_xxhash32
 
-__all__ = ["PageStore", "PAGE_STORE", "set_pagestore", "pagestore_enabled"]
-
-_forced: Optional[bool] = None
-
-
-def set_pagestore(enabled: Optional[bool]) -> None:
-    """Force content interning on/off; ``None`` defers to
-    ``REPRO_PAGESTORE``."""
-    global _forced
-    _forced = enabled
-
-
-def pagestore_enabled() -> bool:
-    """Whether new page owners should intern their contents.
-
-    Sampled at owner construction (VM / zswap pool build), not per
-    page, so intern/release pairing stays consistent over an owner's
-    life even if the ambient switch moves.
-    """
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_PAGESTORE", "1").lower() not in (
-        "0", "false", "off")
+__all__ = ["PageStore", "PAGE_STORE"]
 
 
 class PageStore:

@@ -10,10 +10,10 @@ breaks the share and materializes a private copy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.errors import KernelError
-from repro.kernel.pagestore import PAGE_STORE, PageStore, pagestore_enabled
+from repro.kernel.pagestore import PAGE_STORE, PageStore
 from repro.sim.rng import DeterministicRng
 from repro.units import PAGE_SIZE
 
@@ -26,7 +26,6 @@ class VmPage:
     content: bytes
     shared: bool = False        # merged into a ksm stable page
     poisoned: bool = False      # known-bad bytes: never content-interned
-    interned: bool = False      # content refcounted in a PageStore
 
     def __post_init__(self) -> None:
         if len(self.content) != PAGE_SIZE:
@@ -42,17 +41,13 @@ class VirtualMachine:
     host-side buffer.  Guest writes copy out transparently: the old
     content's reference is released and the new bytes interned — the
     canonical object is never mutated.  Poisoned pages opt out of
-    sharing entirely.  The store choice is sampled at construction;
-    pass ``store=None`` explicitly after ``set_pagestore(False)`` to
-    keep private buffers.
+    sharing entirely.
     """
 
-    def __init__(self, name: str, store: Optional[PageStore] = None):
+    def __init__(self, name: str, store: PageStore = PAGE_STORE):
         self.name = name
         self._pages: Dict[int, VmPage] = {}
-        self._store: Optional[PageStore] = \
-            store if store is not None else (
-                PAGE_STORE if pagestore_enabled() else None)
+        self._store = store
         self.cow_breaks = 0
 
     def __len__(self) -> int:
@@ -62,12 +57,9 @@ class VirtualMachine:
                  poisoned: bool = False) -> VmPage:
         if vpn in self._pages:
             raise KernelError(f"{self.name}: vpn {vpn} already mapped")
-        store = self._store
-        if store is not None and not poisoned:
-            content = store.intern(content)
-            page = VmPage(vpn, content, poisoned=False, interned=True)
-        else:
-            page = VmPage(vpn, content, poisoned=poisoned)
+        if not poisoned:
+            content = self._store.intern(content)
+        page = VmPage(vpn, content, poisoned=poisoned)
         self._pages[vpn] = page
         return page
 
@@ -82,16 +74,11 @@ class VirtualMachine:
         if page.shared:
             page.shared = False
             self.cow_breaks += 1
-        store = self._store
-        if page.interned:
-            assert store is not None
-            store.release(page.content)
-        if store is not None and not page.poisoned:
-            page.content = store.intern(content)
-            page.interned = True
-        else:
+        if page.poisoned:
             page.content = content
-            page.interned = False
+        else:
+            self._store.release(page.content)
+            page.content = self._store.intern(content)
         return page
 
     def poison_page(self, vpn: int) -> VmPage:
@@ -99,22 +86,17 @@ class VirtualMachine:
         the shared store immediately — poison is per-physical-copy state
         and must never ride a canonical object into other mappings."""
         page = self._page(vpn)
-        if page.interned:
-            assert self._store is not None
+        if not page.poisoned:
             self._store.release(page.content)
-            page.interned = False
-        page.poisoned = True
+            page.poisoned = True
         return page
 
     def unmap_all(self) -> None:
         """Tear down the address space, releasing every interned ref —
         after this the VM's footprint in the shared store is zero."""
-        store = self._store
         for page in self._pages.values():
-            if page.interned:
-                assert store is not None
-                store.release(page.content)
-                page.interned = False
+            if not page.poisoned:
+                self._store.release(page.content)
         self._pages.clear()
 
     def pages(self) -> list[VmPage]:

@@ -18,16 +18,17 @@ is :meth:`~repro.core.offload.OffloadEngine._compressed_size`'s
 non-functional ratio model, which *draws from the platform RNG*;
 memoizing it would change the RNG stream.
 
-Disable with ``REPRO_WORKCACHE=0`` (or :func:`set_workcache`); hit/miss
-telemetry feeds ``repro speed`` via :meth:`WorkCache.snapshot`.
+Disable with the ``workcache`` flag (:mod:`repro.flags`,
+``REPRO_WORKCACHE=0``); hit/miss telemetry feeds ``repro speed`` via
+:meth:`WorkCache.snapshot`.
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from repro import flags
 from repro.errors import ConfigError
 from repro.kernel.compress import lz_compress, lz_decompress
 from repro.kernel.xxhash import xxhash32
@@ -35,20 +36,6 @@ from repro.kernel.xxhash import xxhash32
 # Distinct 4 KiB inputs retained; at two pages per compare key this
 # bounds resident page references to ~32 MiB.
 DEFAULT_CAPACITY = 4096
-
-_forced: Optional[bool] = None
-
-
-def set_workcache(enabled: Optional[bool]) -> None:
-    """Force the cache on/off (``None`` restores the env default)."""
-    global _forced
-    _forced = enabled
-
-
-def workcache_enabled() -> bool:
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_WORKCACHE", "1") != "0"
 
 
 class WorkCache:
@@ -138,7 +125,7 @@ class WorkCache:
     def snapshot(self) -> Dict[str, Any]:
         """Telemetry for ``repro speed`` / tests."""
         return {
-            "enabled": workcache_enabled(),
+            "enabled": flags.get("workcache"),
             "entries": len(self._entries),
             "capacity": self.capacity,
             "hits": self.hits,
@@ -157,19 +144,19 @@ WORK_CACHE = WorkCache()
 
 
 def cached_compress(data: bytes) -> bytes:
-    if not workcache_enabled():
+    if not flags.get("workcache"):
         return lz_compress(data)
     return WORK_CACHE.get("compress", (data,), lambda: lz_compress(data))
 
 
 def cached_decompress(blob: bytes) -> bytes:
-    if not workcache_enabled():
+    if not flags.get("workcache"):
         return lz_decompress(blob)
     return WORK_CACHE.get("decompress", (blob,), lambda: lz_decompress(blob))
 
 
 def cached_xxhash32(data: bytes, seed: int = 0) -> int:
-    if not workcache_enabled():
+    if not flags.get("workcache"):
         return xxhash32(data, seed)
     return WORK_CACHE.get("hash", (data, seed),
                           lambda: xxhash32(data, seed))
@@ -179,6 +166,6 @@ def cached_compare(a: bytes, b: bytes,
                    compute: Callable[[], int]) -> int:
     """Memoized first-difference index (``compute`` supplies the
     comparator's exact semantics)."""
-    if not workcache_enabled():
+    if not flags.get("workcache"):
         return compute()
     return WORK_CACHE.get("compare", (a, b), compute)

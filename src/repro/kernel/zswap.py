@@ -23,7 +23,7 @@ from typing import Any, Generator, Optional
 from repro.core.offload import OffloadEngine, OffloadReport
 from repro.errors import FaultError, KernelError
 from repro.faults import HealthState
-from repro.kernel.pagestore import PAGE_STORE, PageStore, pagestore_enabled
+from repro.kernel.pagestore import PAGE_STORE
 from repro.kernel.swapdev import SwapDevice
 from repro.resilience import NO_RESILIENCE
 from repro.units import PAGE_SIZE
@@ -55,7 +55,6 @@ class ZpoolEntry:
     compressed_bytes: int
     blob: Optional[bytes] = None       # functional payload
     same_filled: Optional[int] = None  # fill byte for same-filled pages
-    interned: bool = False             # blob refcounted in the PageStore
 
 
 @dataclass
@@ -95,9 +94,8 @@ class Zswap:
         self._next_handle = 1
         # Functional blobs dedupe through the content store: workloads
         # re-store the same pages, so equal compressed outputs share one
-        # buffer.  Sampled once so intern/release stay paired.
-        self._pstore: Optional[PageStore] = \
-            PAGE_STORE if pagestore_enabled() else None
+        # buffer.  Every blob in the pool holds one reference.
+        self._pstore = PAGE_STORE
         self.stats = ZswapStats()
 
     # -- accounting ---------------------------------------------------------
@@ -211,14 +209,10 @@ class Zswap:
             self._swapped[handle] = slot
             return handle, report
         blob = report.result
-        pstore = self._pstore
-        if blob is not None and pstore is not None:
-            blob = pstore.intern(blob)
-            self._pool[handle] = ZpoolEntry(handle, report.output_bytes,
-                                            blob=blob, interned=True)
-        else:
-            self._pool[handle] = ZpoolEntry(handle, report.output_bytes,
-                                            blob=blob)
+        if blob is not None:
+            blob = self._pstore.intern(blob)
+        self._pool[handle] = ZpoolEntry(handle, report.output_bytes,
+                                        blob=blob)
         self._pool_bytes += report.output_bytes
         while self.is_full():
             yield from self._writeback_one()
@@ -272,10 +266,8 @@ class Zswap:
 
     def _release_entry(self, entry: ZpoolEntry) -> None:
         """Pair the store-time intern when an entry leaves the pool."""
-        if entry.interned:
-            assert self._pstore is not None and entry.blob is not None
+        if entry.blob is not None:
             self._pstore.release(entry.blob)
-            entry.interned = False
 
     def invalidate(self, handle: int) -> None:
         """Drop an entry whose owner freed the page."""

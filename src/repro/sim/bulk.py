@@ -1,10 +1,11 @@
-"""Gating and statistics for the bulk line-stream fast-forward.
+"""Statistics for the bulk line-stream fast-forward.
 
-``REPRO_BULK=0`` (or :func:`set_bulk`\\ ``(False)``) disables every batched
-path in the simulator; all models then walk their per-line event chains.
-The two modes are bit-exact by contract: every batched path performs the
-identical left-to-right chain of float additions its per-line twin would,
-and ``tests/equivalence`` diffs whole experiment outputs both ways.
+Turning the ``bulk`` flag off (:mod:`repro.flags`, ``REPRO_BULK=0``)
+disables every batched path in the simulator; all models then walk their
+per-line event chains.  The two modes are bit-exact by contract: every
+batched path performs the identical left-to-right chain of float
+additions its per-line twin would, and ``tests/equivalence`` diffs whole
+experiment outputs both ways.
 
 :data:`BULK_STATS` is a process-global counter block surfaced by
 ``repro speed`` — how many trains ran, how many lines they carried, and
@@ -13,24 +14,7 @@ why prospective trains fell back to the per-line path.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, Optional
-
-_forced: Optional[bool] = None
-
-
-def set_bulk(enabled: Optional[bool]) -> None:
-    """Force bulk fast-forward on/off; ``None`` defers to ``REPRO_BULK``."""
-    global _forced
-    _forced = enabled
-
-
-def bulk_enabled() -> bool:
-    """Whether batched paths may engage (checked per prospective train)."""
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_BULK", "1").lower() not in ("0", "false",
-                                                             "off")
+from typing import Dict
 
 
 class BulkStats:

@@ -38,49 +38,27 @@ Determinism contract (pinned by ``tests/sim/test_checkpoint_equiv.py``
 exactly the way bulk off/on is pinned): a point
 forked from a warm-up checkpoint produces **byte-identical** output to
 a cold run that executed the same warm-up followed by the same point.
-``REPRO_CHECKPOINT=0`` (or :func:`set_checkpoint`\ ``(False)``) routes
-:func:`~repro.sim.parallel.run_forked_sweep` through the cold path.
+Turning the ``checkpoint`` flag off (:mod:`repro.flags`,
+``REPRO_CHECKPOINT=0``) routes :func:`~repro.sim.parallel.run_forked_sweep`
+through the cold path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import io
-import os
 import pickle
 import pickletools
 from typing import Any, Dict, Optional
 
 from repro.errors import CheckpointError
 
-__all__ = [
-    "Checkpoint", "CheckpointStats", "CHECKPOINT_STATS",
-    "snapshot", "set_checkpoint", "checkpoint_enabled",
-]
+__all__ = ["Checkpoint", "CheckpointStats", "CHECKPOINT_STATS", "snapshot"]
 
 #: Fixed pickle protocol: snapshots written by one interpreter must load
 #: in any other worker of the same sweep, and the payload digest must
 #: not depend on which Python minor version happened to run the warm-up.
 PICKLE_PROTOCOL = 4
-
-_forced: Optional[bool] = None
-
-
-def set_checkpoint(enabled: Optional[bool]) -> None:
-    """Force checkpoint-fork sweeps on/off; ``None`` defers to the
-    ``REPRO_CHECKPOINT`` environment variable (default: on)."""
-    global _forced
-    _forced = enabled
-
-
-def checkpoint_enabled() -> bool:
-    """Whether :func:`~repro.sim.parallel.run_forked_sweep` forks points
-    from a warm-up snapshot (on) or replays the warm-up per point (off).
-    Outputs are byte-identical either way; only wall-clock differs."""
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_CHECKPOINT", "1").lower() not in (
-        "0", "false", "off", "cold")
 
 
 class CheckpointStats:

@@ -23,18 +23,19 @@ The determinism contract (docs/PERFORMANCE.md):
   semaphores in a sandbox, fork limits) degrades to the same serial
   path with a warning rather than an error.
 
-``--jobs N`` on the CLI and the ``REPRO_JOBS`` environment variable
-feed :func:`resolve_jobs`.
+``--jobs N`` on the CLI and the ``jobs`` flag (:mod:`repro.flags`,
+``REPRO_JOBS``) feed :func:`resolve_jobs`.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Hashable, Mapping, Sequence, Tuple
+
+from repro import flags
 
 __all__ = [
     "ShardPool",
@@ -100,24 +101,9 @@ def resolve_jobs(jobs: Any = None) -> int:
     ``0`` (or ``"auto"``) means one worker per CPU.  An explicit positive
     count is honored as-is (like ``make -j``) — even above ``cpu_count``
     — so the multiprocessing path stays exercisable on small runners."""
-    if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        jobs = env
-    if isinstance(jobs, str):
-        if jobs.lower() == "auto":
-            jobs = 0
-        else:
-            try:
-                jobs = int(jobs)
-            except ValueError:
-                warnings.warn(f"unparseable jobs value {jobs!r}; running "
-                              "serial", RuntimeWarning, stacklevel=2)
-                return 1
-    if jobs <= 0:
-        return os.cpu_count() or 1
-    return int(jobs)
+    count: int = (flags.get("jobs") if jobs is None
+                  else flags.FLAGS["jobs"].parse(jobs))
+    return count
 
 
 @dataclass(frozen=True)
@@ -202,9 +188,9 @@ def run_forked_sweep(spec: ForkSpec, jobs: Any = None) -> Dict[Hashable, Any]:
     instead; parallel jobs ship the checkpoint (or the warm-up thunk) to
     workers and merge in submission order like :func:`run_sweep`.
     """
-    from repro.sim.checkpoint import checkpoint_enabled, snapshot
+    from repro.sim.checkpoint import snapshot
     jobs = resolve_jobs(jobs)
-    if checkpoint_enabled():
+    if flags.get("checkpoint"):
         cp = snapshot(spec.run_warmup(), label=spec.name)
         tasks = [(cp, p) for p in spec.points]
         runner = _run_forked_point

@@ -12,19 +12,20 @@ Two latency recorders share one API (``record``/``count``/``p50``/
   only mode the paper figures use — their outputs are byte-golden.
 * :class:`StreamingLatencyStats` — **O(1) memory**: P² quantile
   estimators (Jain & Chlamtac 1985) for the three tail points plus
-  exact running moments.  ``REPRO_STATS=stream`` (or
-  :func:`set_stats`\\ ``("stream")``) switches :func:`latency_recorder`
+  exact running moments.  The ``stats`` flag (:mod:`repro.flags`,
+  ``REPRO_STATS=stream``) switches :func:`latency_recorder`
   for scale runs whose sample counts would otherwise grow RSS without
   bound; accuracy tolerances are pinned in docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
+
+from repro import flags
 
 
 @dataclass(frozen=True)
@@ -498,26 +499,6 @@ class StreamingLatencyStats:
 
 LatencyRecorder = Union[LatencyStats, StreamingLatencyStats]
 
-_forced_stats: Optional[str] = None
-
-
-def set_stats(mode: Optional[str]) -> None:
-    """Force the recorder flavour: ``"exact"``, ``"stream"``, or ``None``
-    to defer to the ``REPRO_STATS`` environment variable."""
-    global _forced_stats
-    if mode not in (None, "exact", "stream"):
-        raise ValueError(f"set_stats expects 'exact'/'stream'/None, "
-                         f"got {mode!r}")
-    _forced_stats = mode
-
-
-def stats_mode() -> str:
-    """The effective recorder flavour for :func:`latency_recorder`."""
-    if _forced_stats is not None:
-        return _forced_stats
-    env = os.environ.get("REPRO_STATS", "exact").lower()
-    return "stream" if env in ("stream", "streaming", "p2") else "exact"
-
 
 def latency_recorder() -> LatencyRecorder:
     """Build the ambient-mode latency recorder.
@@ -526,6 +507,6 @@ def latency_recorder() -> LatencyRecorder:
     ``REPRO_STATS=stream`` swaps in :class:`StreamingLatencyStats` for
     runs whose request counts would otherwise hold every sample live.
     """
-    if stats_mode() == "stream":
+    if flags.get("stats") == "stream":
         return StreamingLatencyStats()
     return LatencyStats()

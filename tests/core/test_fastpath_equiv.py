@@ -18,30 +18,30 @@ from pathlib import Path
 
 import pytest
 
+from repro import flags
 from repro.core.microbench import Microbench
 from repro.core.offload import OffloadEngine
 from repro.core.platform import Platform
 from repro.core.requests import BiasMode, D2HOp, HostOp
 from repro.core.transfer import TransferBench
 from repro.faults import FaultPlan
-from repro.sim.bulk import BULK_STATS, set_bulk
+from repro.sim.bulk import BULK_STATS
 from repro.units import PAGE_SIZE
 
 REPO = Path(__file__).resolve().parents[2]
 
 
 @pytest.fixture(autouse=True)
-def _ambient_bulk():
-    set_bulk(None)
-    yield
-    set_bulk(None)
+def _bulk_on():
+    """Bulk forced on unless a test overrides it."""
+    with flags.override(bulk=True):
+        yield
 
 
 def _both(fn):
     """Run ``fn`` with bulk off then on; return both results + stats."""
-    set_bulk(False)
-    off = fn()
-    set_bulk(True)
+    with flags.override(bulk=False):
+        off = fn()
     BULK_STATS.reset()
     on = fn()
     return off, on, BULK_STATS.snapshot()
@@ -129,7 +129,6 @@ def test_offload_flows_identical_bulk_off_and_on():
 
 
 def test_armed_link_faults_force_per_line():
-    set_bulk(True)
     BULK_STATS.reset()
     p = Platform(seed=6)
     # Armed but never firing: timing identical, eligibility destroyed.
@@ -141,7 +140,6 @@ def test_armed_link_faults_force_per_line():
 
 
 def test_armed_sanitizers_force_per_line():
-    set_bulk(True)
     BULK_STATS.reset()
     p = Platform(seed=6)
     p.arm_sanitizers()
@@ -155,7 +153,6 @@ def test_armed_sanitizers_force_per_line():
 
 
 def test_poisoned_device_memory_forces_per_line():
-    set_bulk(True)
     BULK_STATS.reset()
     p = Platform(seed=6)
     p.t2.dev_mem.poison(p.fresh_dev_lines(1)[0])

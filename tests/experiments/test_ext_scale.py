@@ -7,21 +7,13 @@ the tolerance comparison, and the RSS trace contract.
 
 from __future__ import annotations
 
-import pytest
-
+from repro import flags
 from repro.experiments import ext_scale
-from repro.sim.stats import set_stats
 
 # Large enough for the P² markers to settle inside the documented
 # tolerances (they keep tightening with N; see docs/PERFORMANCE.md),
 # small enough to keep tier-1 fast.
 REQUESTS = 20_000
-
-
-@pytest.fixture(autouse=True)
-def _restore_stats_mode():
-    yield
-    set_stats(None)
 
 
 def test_streaming_run_meets_target_and_tolerance():
@@ -57,6 +49,7 @@ def test_exact_mode_uses_exact_recorder_and_same_workload():
 
 
 def test_ambient_mode_flows_from_set_stats():
-    set_stats("stream")
-    result = ext_scale.run(requests=REQUESTS, checkpoints=3)
+    """``mode=None`` samples the ``stats`` flag."""
+    with flags.override(stats="stream"):
+        result = ext_scale.run(requests=REQUESTS, checkpoints=3)
     assert result.mode == "stream"

@@ -11,17 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.kernel.ksm import Ksm
-from repro.kernel.pagestore import (PAGE_STORE, PageStore, pagestore_enabled,
-                                    set_pagestore)
+from repro.kernel.pagestore import PAGE_STORE, PageStore
 from repro.kernel.vm import VirtualMachine, make_vm_fleet
 from repro.sim.rng import DeterministicRng
 from repro.units import PAGE_SIZE
-
-
-@pytest.fixture(autouse=True)
-def _restore_pagestore_mode():
-    yield
-    set_pagestore(None)
 
 
 def _page(fill, stamp=b""):
@@ -142,17 +135,6 @@ def test_vm_poison_page_evicts_content_from_store():
     store.assert_balanced()
 
 
-def test_pagestore_mode_switch():
-    try:
-        set_pagestore(False)
-        assert not pagestore_enabled()
-        vm = VirtualMachine("off")
-        page = vm.map_page(0, _page(2))
-        assert not page.interned
-    finally:
-        set_pagestore(None)
-
-
 # ---------------------------------------------------------------------------
 # ksm merge/unmerge round-trips through the store
 # ---------------------------------------------------------------------------
@@ -189,18 +171,19 @@ def test_ksm_merge_and_cow_unmerge_preserve_bytes(platform):
             assert page.content == originals[(i, page.vpn)]
 
     # Unmerge: every VM rewrites its template pages with private bytes.
+    rewritten = set()
     for i, vm in enumerate(fleet):
         for page in list(vm.pages()):
             if page.shared:
                 vm.write(page.vpn, _page(i + 1, stamp=bytes([page.vpn])))
+                rewritten.add((i, page.vpn))
+    assert rewritten
     for i, vm in enumerate(fleet):
         for page in vm.pages():
             assert not page.shared
-    # Non-rewritten pages still hold their original bytes.
-    for i, vm in enumerate(fleet):
-        for page in vm.pages():
-            if (i, page.vpn) in originals and not page.interned:
-                continue
+            # Non-rewritten pages still hold their original bytes.
+            if (i, page.vpn) not in rewritten:
+                assert page.content == originals[(i, page.vpn)]
     for vm in fleet:
         vm.unmap_all()
     store.assert_balanced()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import flags
 from repro.errors import ConfigError
 from repro.kernel.compress import lz_compress, lz_decompress
 from repro.kernel.workcache import (
@@ -18,8 +19,6 @@ from repro.kernel.workcache import (
     cached_compress,
     cached_decompress,
     cached_xxhash32,
-    set_workcache,
-    workcache_enabled,
 )
 from repro.kernel.xxhash import xxhash32
 from repro.units import PAGE_SIZE
@@ -33,10 +32,8 @@ PAGES = [
 
 @pytest.fixture(autouse=True)
 def _pristine_cache():
-    set_workcache(None)
     WORK_CACHE.reset()
     yield
-    set_workcache(None)
     WORK_CACHE.reset()
 
 
@@ -99,38 +96,47 @@ def test_snapshot_shape():
 
 @pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
 def test_cached_helpers_match_direct(enabled):
-    set_workcache(enabled)
-    for page in PAGES:
-        blob = cached_compress(page)
-        assert blob == lz_compress(page)
-        assert cached_decompress(blob) == lz_decompress(blob) == page
-        assert cached_xxhash32(page) == xxhash32(page)
-        assert cached_xxhash32(page, seed=7) == xxhash32(page, seed=7)
-    assert cached_compare(PAGES[0], PAGES[1], lambda: 123) == 123
+    with flags.override(workcache=enabled):
+        for page in PAGES:
+            blob = cached_compress(page)
+            assert blob == lz_compress(page)
+            assert cached_decompress(blob) == lz_decompress(blob) == page
+            assert cached_xxhash32(page) == xxhash32(page)
+            assert cached_xxhash32(page, seed=7) == xxhash32(page, seed=7)
+        assert cached_compare(PAGES[0], PAGES[1], lambda: 123) == 123
+        # When on, a second identical compare must not re-run the
+        # comparator.
+        second = cached_compare(PAGES[0], PAGES[1], lambda: 456)
     if enabled:
-        # Second identical compare must not re-run the comparator.
-        assert cached_compare(PAGES[0], PAGES[1], lambda: 456) == 123
+        assert second == 123
     else:
-        assert cached_compare(PAGES[0], PAGES[1], lambda: 456) == 456
+        assert second == 456
         assert WORK_CACHE.hits == WORK_CACHE.misses == 0
 
 
 def test_seed_is_part_of_the_hash_key():
-    set_workcache(True)
-    assert cached_xxhash32(PAGES[1], seed=0) != cached_xxhash32(
-        PAGES[1], seed=1)
+    with flags.override(workcache=True):
+        assert cached_xxhash32(PAGES[1], seed=0) != cached_xxhash32(
+            PAGES[1], seed=1)
+
+
+def _engages() -> bool:
+    """Whether a cached codec call consults WORK_CACHE right now."""
+    WORK_CACHE.reset()
+    cached_compress(PAGES[0])
+    return WORK_CACHE.misses == 1
 
 
 def test_env_default_and_forced_override(monkeypatch):
-    set_workcache(None)
+    """The codec wrappers sample the ``workcache`` flag per call (its
+    spellings are tested once, in tests/test_flags.py)."""
     monkeypatch.delenv("REPRO_WORKCACHE", raising=False)
-    assert workcache_enabled()
-    monkeypatch.setenv("REPRO_WORKCACHE", "0")
-    assert not workcache_enabled()
-    set_workcache(True)
-    assert workcache_enabled()                  # forced beats env
-    set_workcache(None)
-    assert not workcache_enabled()
+    assert _engages()
+    monkeypatch.setenv("REPRO_WORKCACHE", "off")    # was silently "on"
+    assert not _engages()
+    with flags.override(workcache=True):
+        assert _engages()                       # override beats env
+    assert not _engages()
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +171,10 @@ def _zswap_ksm_trace() -> tuple:
 
 
 def test_zswap_ksm_identical_with_cache_on_and_off():
-    set_workcache(False)
-    off = _zswap_ksm_trace()
-    set_workcache(True)
+    with flags.override(workcache=False):
+        off = _zswap_ksm_trace()
     WORK_CACHE.reset()
-    on = _zswap_ksm_trace()
+    with flags.override(workcache=True):
+        on = _zswap_ksm_trace()
     assert off == on
     assert WORK_CACHE.hits > 0                  # the cache actually engaged

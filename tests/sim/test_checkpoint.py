@@ -17,15 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import flags
 from repro.config import default_system
 from repro.core.platform import Platform
 from repro.errors import CheckpointError
 from repro.sim.checkpoint import (
     CHECKPOINT_STATS,
     Checkpoint,
-    checkpoint_enabled,
     payload_summary,
-    set_checkpoint,
     snapshot,
 )
 from repro.sim.engine import Simulator, Timeout
@@ -34,32 +33,35 @@ from repro.sim.rng import DeterministicRng
 from repro.units import kib
 
 
-@pytest.fixture(autouse=True)
-def _ambient_checkpoint():
-    """Leave the process-global toggle the way we found it."""
-    yield
-    set_checkpoint(None)
+# -- the checkpoint flag routes forked sweeps --------------------------------
 
 
-# -- enable/disable plumbing -------------------------------------------------
+def _sweep_path() -> str:
+    """Which path a two-point toy sweep takes under the current flag."""
+    CHECKPOINT_STATS.reset()
+    run_forked_sweep(ForkSpec.build(
+        "toggle", _toy_warmup, [(i, _toy_point, (i,), {}) for i in range(2)],
+        warmup_args=(7,)))
+    return "forked" if CHECKPOINT_STATS.snapshots else "cold"
 
 
 class TestToggle:
+    """The flag's spellings are tested once, in tests/test_flags.py;
+    these pin that :func:`run_forked_sweep` samples it."""
+
     def test_default_is_on(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECKPOINT", raising=False)
-        set_checkpoint(None)
-        assert checkpoint_enabled()
+        assert _sweep_path() == "forked"
 
     @pytest.mark.parametrize("value", ["0", "false", "off", "cold"])
     def test_env_disables(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_CHECKPOINT", value)
-        set_checkpoint(None)
-        assert not checkpoint_enabled()
+        assert _sweep_path() == "cold"
 
     def test_forced_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECKPOINT", "0")
-        set_checkpoint(True)
-        assert checkpoint_enabled()
+        with flags.override(checkpoint=True):
+            assert _sweep_path() == "forked"
 
 
 # -- round trips -------------------------------------------------------------
@@ -302,16 +304,16 @@ class TestForkedSweep:
             warmup_args=(1234,))
 
     def test_forked_matches_cold(self):
-        set_checkpoint(False)
-        cold = run_forked_sweep(self._spec())
-        set_checkpoint(True)
-        forked = run_forked_sweep(self._spec())
+        with flags.override(checkpoint=False):
+            cold = run_forked_sweep(self._spec())
+        with flags.override(checkpoint=True):
+            forked = run_forked_sweep(self._spec())
         assert forked == cold
 
     def test_forked_matches_cold_parallel(self):
-        set_checkpoint(True)
-        serial = run_forked_sweep(self._spec())
-        parallel = run_forked_sweep(self._spec(), jobs=2)
+        with flags.override(checkpoint=True):
+            serial = run_forked_sweep(self._spec())
+            parallel = run_forked_sweep(self._spec(), jobs=2)
         assert parallel == serial
 
     def test_duplicate_keys_rejected(self):
@@ -322,8 +324,8 @@ class TestForkedSweep:
 
     def test_disabled_replays_warmup_per_point(self):
         CHECKPOINT_STATS.reset()
-        set_checkpoint(False)
-        run_forked_sweep(self._spec())
+        with flags.override(checkpoint=False):
+            run_forked_sweep(self._spec())
         assert CHECKPOINT_STATS.cold_warmups == 4
         assert CHECKPOINT_STATS.snapshots == 0
 

@@ -14,23 +14,17 @@ import dataclasses
 
 import pytest
 
-from repro.sim.checkpoint import set_checkpoint
+from repro import flags
 from repro.sim.parallel import ForkSpec, run_forked_sweep
 from repro.units import ms
 
 
-@pytest.fixture(autouse=True)
-def _restore_toggle():
-    yield
-    set_checkpoint(None)
-
-
 def _forked_vs_cold(fn):
     """Run ``fn`` cold and forked; return the pair."""
-    set_checkpoint(False)
-    cold = fn()
-    set_checkpoint(True)
-    forked = fn()
+    with flags.override(checkpoint=False):
+        cold = fn()
+    with flags.override(checkpoint=True):
+        forked = fn()
     return cold, forked
 
 
@@ -111,9 +105,6 @@ class TestRasArmed:
         """The armed sweep must actually exercise the fault plan — a
         plan that pickled into inertness would pass equivalence
         trivially."""
-        set_checkpoint(True)
-        armed = _armed_sweep(jobs=1)
-
         def _disarmed():
             from repro.core.platform import Platform
             spec = ForkSpec.build(
@@ -123,7 +114,8 @@ class TestRasArmed:
                 warmup_kwargs={"seed": 77})
             return run_forked_sweep(spec, jobs=1)
 
-        assert armed != _disarmed()
+        with flags.override(checkpoint=True):
+            assert _armed_sweep(jobs=1) != _disarmed()
 
 
 # -- sanitizers armed: detectors ride the snapshot ---------------------------

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import flags
 from repro.sim.rng import DeterministicRng
 from repro.sim.stats import (LatencyStats, StreamingLatencyStats,
-                             bandwidth_gbps, latency_recorder, set_stats,
-                             stats_mode, summarize)
+                             bandwidth_gbps, latency_recorder, summarize)
 
 
 def test_summarize_basic():
@@ -194,16 +194,10 @@ def test_streaming_memory_is_flat():
 
 
 def test_latency_recorder_mode_switch():
-    try:
-        set_stats("stream")
-        assert stats_mode() == "stream"
+    with flags.override(stats="stream"):
         assert isinstance(latency_recorder(), StreamingLatencyStats)
-        set_stats("exact")
+    with flags.override(stats="exact"):
         assert isinstance(latency_recorder(), LatencyStats)
-    finally:
-        set_stats(None)
-    with pytest.raises(ValueError):
-        set_stats("bogus")
 
 
 def test_percentile_cache_invalidated_across_pickle():

@@ -14,22 +14,14 @@ import os
 
 import pytest
 
+from repro import flags
 from repro.analysis.expcache import (
     EXPCACHE_STATS,
     ExperimentCache,
     ambient_modes,
-    expcache_dir,
-    expcache_enabled,
     module_fingerprint,
-    set_expcache,
     _imported_repro_modules,
 )
-
-
-@pytest.fixture(autouse=True)
-def _restore_toggle():
-    yield
-    set_expcache(None)
 
 
 @pytest.fixture
@@ -38,32 +30,50 @@ def cache(tmp_path):
 
 
 KEY = {"experiment": "fig0", "code": "abc123", "args": {"reps": 3},
-       "modes": {"stats": "exact", "sanitize": ""}}
+       "modes": {"stats": "exact"}}
+
+
+def _served_twice(monkeypatch, tmp_path) -> bool:
+    """Run a stub cacheable experiment twice through the CLI's cache
+    path, from ``tmp_path``; True when the second run was a cache hit."""
+    from repro import cli
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    monkeypatch.setitem(cli.RUNNERS, "table3",
+                        lambda args: calls.append(args) or "table\n")
+    args = cli.build_parser().parse_args(["table3"])
+    cli._run_cached("table3", args)
+    cli._run_cached("table3", args)
+    return len(calls) == 1
 
 
 class TestToggle:
-    def test_default_is_on(self, monkeypatch):
+    """The flag's spellings are tested once, in tests/test_flags.py;
+    these pin that the CLI and :class:`ExperimentCache` sample it."""
+
+    def test_default_is_on(self, monkeypatch, tmp_path):
         monkeypatch.delenv("REPRO_EXPCACHE", raising=False)
-        assert expcache_enabled()
+        assert _served_twice(monkeypatch, tmp_path)
+        assert (tmp_path / ".repro_expcache").is_dir()
 
     @pytest.mark.parametrize("value", ["0", "false", "off"])
-    def test_env_disables(self, monkeypatch, value):
+    def test_env_disables(self, monkeypatch, tmp_path, value):
         monkeypatch.setenv("REPRO_EXPCACHE", value)
-        assert not expcache_enabled()
+        assert not _served_twice(monkeypatch, tmp_path)
+        assert not (tmp_path / ".repro_expcache").exists()
 
-    def test_env_path_names_the_directory(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXPCACHE", "/tmp/somewhere")
-        assert expcache_enabled()
-        assert expcache_dir() == "/tmp/somewhere"
+    def test_env_path_names_the_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_EXPCACHE", str(tmp_path / "somewhere"))
+        assert ExperimentCache().root == str(tmp_path / "somewhere")
 
     def test_default_directory(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXPCACHE", raising=False)
-        assert expcache_dir() == ".repro_expcache"
+        assert ExperimentCache().root == ".repro_expcache"
 
-    def test_forced_wins_over_env(self, monkeypatch):
+    def test_forced_wins_over_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_EXPCACHE", "0")
-        set_expcache(True)
-        assert expcache_enabled()
+        with flags.override(expcache=True):
+            assert _served_twice(monkeypatch, tmp_path)
 
 
 class TestLookupStore:
@@ -180,20 +190,16 @@ class TestFingerprint:
 
 
 class TestAmbientModes:
-    def test_modes_cover_stats_and_sanitize(self, monkeypatch):
-        from repro.sim.stats import set_stats
+    def test_modes_are_the_keyed_flags(self, monkeypatch):
+        # REPRO_SANITIZE arms pytest fixtures only; no experiment reads it.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        try:
-            set_stats("stream")
-            modes = ambient_modes()
-        finally:
-            set_stats(None)
-        assert modes == {"stats": "stream", "sanitize": "1"}
+        with flags.override(stats="stream"):
+            assert ambient_modes() == {"stats": "stream"}
 
     def test_jobs_and_pinned_toggles_stay_out(self):
         """--jobs and the byte-identity-pinned feature toggles must NOT
         enter the key: entries are valid across all of them."""
-        assert set(ambient_modes()) == {"stats", "sanitize"}
+        assert set(ambient_modes()) == {"stats"}
 
 
 class TestCliIntegration:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import flags
 from repro.core.offload import OffloadEngine, OffloadReport
 from repro.core.platform import Platform
 from repro.errors import ConfigError
@@ -20,7 +21,7 @@ from repro.resilience import (
     Tenant,
     TokenBucket,
 )
-from repro.sim.bulk import BULK_STATS, set_bulk
+from repro.sim.bulk import BULK_STATS
 from repro.units import ms, us
 
 
@@ -317,17 +318,14 @@ def test_bulk_demotion_stats_with_resilience_armed():
     """Armed resilience + armed faults: the link demotes send_bulk to
     the per-line path (BULK_STATS fallbacks) and the policy-routed
     offload still completes."""
-    try:
-        set_bulk(True)
-        BULK_STATS.reset()
+    BULK_STATS.reset()
+    with flags.override(bulk=True):
         platform, __, policy = _armed_stack("link_crc=0.0")
         report = platform.sim.run_process(policy.offload_op("compress"))
-        assert report.transport == "cxl"
-        snap = BULK_STATS.snapshot()
-        assert sum(snap["fallbacks"].values()) > 0
-        assert snap["total_batches"] == 0    # every train demoted
-    finally:
-        set_bulk(None)
+    assert report.transport == "cxl"
+    snap = BULK_STATS.snapshot()
+    assert sum(snap["fallbacks"].values()) > 0
+    assert snap["total_batches"] == 0    # every train demoted
 
 
 def test_policy_runs_are_deterministic():
