@@ -515,8 +515,7 @@ def _telemetry() -> Dict[str, Any]:
     stream = StreamingLatencyStats()
     n = 100_000
     samples = [(i * 2654435761) % 1_000_003 / 1.0 for i in range(n)]
-    for s in samples:
-        stream.record(s)
+    stream.extend(samples)
     digest_bytes = sys.getsizeof(stream._marks)
     for q in stream._marks.values():
         digest_bytes += sys.getsizeof(q)

@@ -376,6 +376,44 @@ def check_perf407(module: LintModule) -> Iterator[Finding]:
                     )
 
 
+def check_perf408(module: LintModule) -> Iterator[Finding]:
+    """PERF408: a latency recorder fed one sample per loop iteration.
+
+    ``for x in xs: rec.record(x)`` pays the recorder's per-call cost
+    once per sample.  ``LatencyStats.extend`` and
+    ``StreamingLatencyStats.extend`` take the whole batch in one call,
+    with the same result: the streaming recorder runs its moments pass
+    and each P² bank's update once per batch, at identical state.  Only
+    a single-argument ``record`` of the loop variable itself is flagged;
+    keyed calls such as ``slo.record(tenant, latency)`` are not.  A loop
+    that must record one at a time (a per-sample reference kept for a
+    differential test) should carry ``# reprolint: disable=PERF408``
+    with a comment saying why.
+    """
+    for node in ast.walk(module.tree):
+        if not (isinstance(node, ast.For)
+                and isinstance(node.target, ast.Name)):
+            continue
+        target = node.target.id
+        calls = (sub for stmt in node.body for sub in ast.walk(stmt)
+                 if isinstance(sub, ast.Call)
+                 and isinstance(sub.func, ast.Attribute)
+                 and sub.func.attr == "record"
+                 and not sub.keywords and len(sub.args) == 1
+                 and isinstance(sub.args[0], ast.Name)
+                 and sub.args[0].id == target)
+        call = next(calls, None)
+        if call is None:
+            continue
+        owner = dotted_name(call.func.value) or "<recorder>"
+        yield Finding(
+            "PERF408", module.path, node.lineno, node.col_offset,
+            f"loop calls `{owner}.record({target})` once per sample; "
+            f"record the batch with `{owner}.extend(...)`, or suppress "
+            "with a comment if one call per sample is load-bearing",
+        )
+
+
 RULES = [
     Rule("PERF401", "redundant call_soon around an Event trigger",
          check_perf401),
@@ -391,4 +429,6 @@ RULES = [
          check_perf406),
     Rule("PERF407", "capacity-sized table of empty containers per instance",
          check_perf407),
+    Rule("PERF408", "latency recorder fed one sample per loop iteration",
+         check_perf408),
 ]

@@ -13,8 +13,11 @@ Execution is epoch-BSP: :meth:`step` receives one
 ``{"op": "epoch", ...}`` payload per epoch — inbound fabric wires plus
 cluster directives — and returns an :class:`EpochReport` whose outbox
 the coordinator routes.  All serving math is vectorized per epoch
-(numpy Lindley recursion per lane), so per-request Python work is one
-recorder update and, for writes, one store insert.  Everything a shard
+(numpy Lindley recursion per lane), interarrivals come a window at a
+time from a block-drawn :class:`~repro.sim.rng.ExponentialStream`, and
+latencies reach the recorder as one ``extend`` per batch.  Per-request
+Python work is therefore no recorder call and no RNG call, only, for
+writes, one store insert.  Everything a shard
 does is a pure function of ``(sid, config, payload sequence)`` — the
 determinism contract that lets shards run in any worker process.
 """
@@ -37,7 +40,7 @@ from repro.rack.fabric import FabricConfig, FabricPort, Wire
 from repro.rack.ring import HashRing
 from repro.resilience import CircuitBreaker
 from repro.sim.parallel import derive_seed
-from repro.sim.rng import DeterministicRng
+from repro.sim.rng import DeterministicRng, ExponentialStream
 from repro.sim.stats import StreamingLatencyStats
 
 #: Nominal mean service time used to size the run duration from the
@@ -199,7 +202,7 @@ class ShardHost:
                                    seed=derive_seed(seed, "kill"))
             self.platform.arm_faults(plan)
         rng = DeterministicRng(seed)
-        self._arr_rng = rng.fork(11)    # interarrival stream
+        self._arr_rng = ExponentialStream(rng.fork(11))  # interarrivals
         self._svc_rng = rng.fork(12)    # local service jitter
         self._mix_rng = rng.fork(13)    # op mix / remote choice / partner
         self._rsvc_rng = rng.fork(14)   # remote-lane service jitter
@@ -229,9 +232,7 @@ class ShardHost:
         # bucket (they travel with the bucket on migration, so distinct-
         # user accounting is conserved across a rebalance).
         self._cursor = np.zeros(cfg.buckets, dtype=np.int64)
-        self._owner_arr = np.empty(cfg.buckets, dtype=np.int64)
-        for b in range(cfg.buckets):
-            self._owner_arr[b] = self.ring.owner(b)
+        self._owner_arr = self.ring.owner_table(cfg.buckets)
         self.owned: List[int] = [int(b) for b in
                                  np.nonzero(self._owner_arr == sid)[0]]
         self.pending_buckets: set = set()
@@ -241,7 +242,7 @@ class ShardHost:
         self._arrival_idx = 0
         self._mean_ia: Optional[float] = None
         self._rebuild_owned()
-        self._next_arrival = (self._arr_rng.exponential(self._mean_ia)
+        self._next_arrival = (self._arr_rng.draw(self._mean_ia)
                               if self._mean_ia is not None else float("inf"))
 
         # Cross-shard requests buffered per destination until the epoch
@@ -410,16 +411,9 @@ class ShardHost:
         cfg = self.cfg
         if self._mean_ia is None:
             return
-        end = min(t1, cfg.duration_ns)
-        arrivals: List[float] = []
-        nxt = self._next_arrival
-        mean = self._mean_ia
-        draw = self._arr_rng.exponential
-        while nxt < end:
-            arrivals.append(nxt)
-            nxt += draw(mean)
-        self._next_arrival = nxt
-        n = len(arrivals)
+        a, self._next_arrival = self._arr_rng.window(
+            self._next_arrival, min(t1, cfg.duration_ns), self._mean_ia)
+        n = len(a)
         if n == 0:
             return
         if self.dead:
@@ -428,7 +422,6 @@ class ShardHost:
             # were not served.
             self.dropped += n
             return
-        a = np.asarray(arrivals, dtype=float)
         users = self._draw_users(n)
         update = self._mix_rng.random_array(n) < cfg.update_frac
         partner = self._mix_rng.integers_array(0, cfg.buckets, n)
@@ -496,8 +489,7 @@ class ShardHost:
         self._lane_arr[lane] = float(al[-1])
         self._lane_wait[lane] = float(waits[-1])
         self._lane_svc[lane] = float(svc[-1])
-        for user, _issue in items:
-            self.store.get(user)
+        self.store.gets += n
         self.remote_served += n
         self.served += n
         self._note_avail(completion)
@@ -539,7 +531,7 @@ class ShardHost:
             send_epoch_start = self.cfg.fabric.arrival_ns(
                 wire.send_ns, wire.nbytes)
             self._next_arrival = send_epoch_start + \
-                self._arr_rng.exponential(self._mean_ia)
+                self._arr_rng.draw(self._mean_ia)
 
     # -- rebalance ---------------------------------------------------------
 
@@ -548,8 +540,7 @@ class ShardHost:
         migration wire before serving; buffered requests to removed
         hosts are re-homed at the next flush."""
         self.ring = HashRing(hosts, self.cfg.seed, self.cfg.vnodes)
-        for b in range(self.cfg.buckets):
-            self._owner_arr[b] = self.ring.owner(b)
+        self._owner_arr = self.ring.owner_table(self.cfg.buckets)
         mine = set(self.owned)
         for b in np.nonzero(self._owner_arr == self.sid)[0]:
             if int(b) not in mine:
@@ -639,8 +630,7 @@ class ShardHost:
         self._lane_arr[lane] = float(al[-1])
         self._lane_wait[lane] = float(waits[-1])
         self._lane_svc[lane] = float(svc[-1])
-        for user, _issue in items:
-            self.store.get(user)
+        self.store.gets += n
         latencies = [float(completion[i]) - issue
                      for i, (_user, issue) in enumerate(items)]
         self.recorder.extend(latencies)

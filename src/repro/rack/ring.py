@@ -25,6 +25,8 @@ import bisect
 import zlib
 from typing import Iterable, Tuple
 
+import numpy as np
+
 #: Virtual points per host.  64 keeps the owner histogram within ~20 %
 #: of uniform at 16 hosts while the full ring stays ~1k entries.
 DEFAULT_VNODES = 64
@@ -68,6 +70,16 @@ class HashRing:
         if i == len(self._points):
             i = 0
         return self._owners[i]
+
+    def owner_table(self, n_keys: int) -> np.ndarray:
+        """``owner(k)`` for every key in ``range(n_keys)``, as an int64
+        array: the key points, then one ``searchsorted`` (which is
+        ``bisect_left``) over the ring."""
+        keys = np.fromiter((self.key_point(k) for k in range(n_keys)),
+                           dtype=np.int64, count=n_keys)
+        idx = np.searchsorted(np.asarray(self._points, dtype=np.int64), keys)
+        idx[idx == len(self._points)] = 0
+        return np.asarray(self._owners, dtype=np.int64)[idx]
 
     def owned(self, host: int, n_keys: int) -> Tuple[int, ...]:
         """Keys in ``range(n_keys)`` this host owns, ascending."""

@@ -7,6 +7,8 @@ Every stochastic choice in the library draws from a
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
 
@@ -116,3 +118,71 @@ class DeterministicRng:
             return base.copy()
         sample = self._gen.normal(base, base * rel_std)
         return np.maximum(sample, base * 0.1)
+
+
+#: Draws per :class:`ExponentialStream` refill.
+EXP_BLOCK = 512
+
+_EMPTY = np.empty(0, dtype=float)
+_EMPTY.flags.writeable = False
+
+
+class ExponentialStream:
+    """Exponential draws served from pre-drawn blocks of one stream.
+
+    The stream must be the only consumer of ``rng``: it pulls
+    ``standard_exponential(block)`` ahead of use, and ``mean * e`` for
+    each buffered ``e`` equals a scalar ``rng.exponential(mean)`` draw,
+    so the values are exactly the successive scalar draws, whatever
+    the block size or the means.  The buffer pickles with the stream,
+    so a checkpoint taken mid-block resumes identically.
+    """
+
+    def __init__(self, rng: DeterministicRng, block: int = EXP_BLOCK):
+        if block < 1:
+            raise ValueError(f"block must be positive: {block}")
+        self._gen = rng._gen
+        self._block = block
+        self._buf = _EMPTY
+        self._i = 0
+
+    def _refill(self) -> None:
+        self._buf = self._gen.standard_exponential(self._block)
+        self._i = 0
+
+    def draw(self, mean: float) -> float:
+        """The next ``exponential(mean)`` draw."""
+        if self._i == len(self._buf):
+            self._refill()
+        e = self._buf[self._i]
+        self._i += 1
+        return float(mean * e)
+
+    def window(self, nxt: float, end: float,
+               mean: float) -> Tuple[np.ndarray, float]:
+        """Serve a Poisson process over ``[nxt, end)``.
+
+        ``nxt`` is the pending arrival.  Returns the arrivals before
+        ``end`` and the new pending arrival, equal element for element
+        to the loop ``while nxt < end: out.append(nxt); nxt +=
+        draw(mean)`` (``cumsum`` adds left to right, as the loop does).
+        """
+        if not nxt < end:
+            return _EMPTY, nxt
+        parts = []
+        while True:
+            if self._i == len(self._buf):
+                self._refill()
+            steps = mean * self._buf[self._i:]
+            sums = np.cumsum(np.concatenate(([nxt], steps)))
+            k = int(np.searchsorted(sums, end))
+            if k < len(sums):
+                parts.append(sums[:k])
+                self._i += k
+                nxt = float(sums[k])
+                break
+            parts.append(sums[:-1])
+            self._i = len(self._buf)
+            nxt = float(sums[-1])
+        arrivals = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return arrivals, nxt

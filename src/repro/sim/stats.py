@@ -92,8 +92,15 @@ class LatencyStats:
         self._sorted = None
 
     def extend(self, samples: Iterable[float]) -> None:
-        for sample in samples:
-            self.record(sample)
+        """Record ``samples`` in order; atomic like
+        :meth:`StreamingLatencyStats.extend`."""
+        batch = list(samples)
+        for x in batch:
+            if x < 0:
+                raise ValueError(f"negative latency: {x}")
+        if batch:
+            self._samples.extend(batch)
+            self._sorted = None
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -175,59 +182,117 @@ class _P2Quantile:
         self._grow = (0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
         self._n = 0
 
-    def add(self, x: float) -> None:
-        self._n += 1
-        heights = self._heights
-        if self._n <= 5:
-            heights.append(x)
-            if self._n == 5:
-                heights.sort()
-                self._pos = [0, 1, 2, 3, 4]
-                p = self.p
-                self._want = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
+    def add_many(self, xs: Sequence[float]) -> None:
+        """Fold the samples ``xs``, in order, into the bank.
+
+        One pass with the five heights, positions and targets held in
+        locals.  The float operations and their order are those of the
+        textbook per-sample update (the piecewise-parabolic nudge with
+        its linear fallback, markers 1, 2, 3 in turn), so any split of a
+        sample stream into batches leaves the identical bank state.
+        """
+        n = self._n
+        start = 0
+        if n < 5:
+            start = min(5 - n, len(xs))
+            self._heights.extend(xs[:start])
+            n += start
+            self._n = n
+            if n < 5:
+                return
+            self._heights.sort()
+            self._pos = [0, 1, 2, 3, 4]
+            p = self.p
+            self._want = [0.0, 2.0 * p, 4.0 * p, 2.0 + 2.0 * p, 4.0]
+        if start == len(xs):
             return
-        pos = self._pos
-        if x < heights[0]:
-            heights[0] = x
-            k = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            k = 3
-        elif x < heights[1]:
-            k = 0
-        elif x < heights[2]:
-            k = 1
-        elif x < heights[3]:
-            k = 2
-        else:
-            k = 3
-        for i in range(k + 1, 5):
-            pos[i] += 1
-        want = self._want
-        grow = self._grow
-        for i in range(1, 5):
-            want[i] += grow[i]
-        for i in (1, 2, 3):
-            d = want[i] - pos[i]
-            if (d >= 1.0 and pos[i + 1] - pos[i] > 1) or \
-               (d <= -1.0 and pos[i - 1] - pos[i] < -1):
-                step = 1 if d >= 1.0 else -1
-                h = self._parabolic(i, step)
-                if heights[i - 1] < h < heights[i + 1]:
-                    heights[i] = h
+        q0, q1, q2, q3, q4 = self._heights
+        n0, n1, n2, n3, n4 = self._pos
+        w0, w1, w2, w3, w4 = self._want
+        _, g1, g2, g3, g4 = self._grow
+        for x in xs[start:]:
+            if x < q0:
+                q0 = x
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x >= q4:
+                q4 = x
+            elif x < q1:
+                n1 += 1
+                n2 += 1
+                n3 += 1
+            elif x < q2:
+                n2 += 1
+                n3 += 1
+            elif x < q3:
+                n3 += 1
+            n4 += 1
+            w1 += g1
+            w2 += g2
+            w3 += g3
+            w4 += g4
+            # Marker 1, between (q0, n0) and (q2, n2).
+            d = w1 - n1
+            if d >= 1.0 and n2 - n1 > 1:
+                s = 1
+            elif d <= -1.0 and n0 - n1 < -1:
+                s = -1
+            else:
+                s = 0
+            if s:
+                h = q1 + s / (n2 - n0) * (
+                    (n1 - n0 + s) * (q2 - q1) / (n2 - n1)
+                    + (n2 - n1 - s) * (q1 - q0) / (n1 - n0))
+                if q0 < h < q2:
+                    q1 = h
+                elif s == 1:
+                    q1 = q1 + s * (q2 - q1) / (n2 - n1)
                 else:
-                    heights[i] = self._linear(i, step)
-                pos[i] += step
-
-    def _parabolic(self, i: int, d: int) -> float:
-        q, n = self._heights, self._pos
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1]))
-
-    def _linear(self, i: int, d: int) -> float:
-        q, n = self._heights, self._pos
-        return q[i] + d * (q[i + d] - q[i]) / (n[i + d] - n[i])
+                    q1 = q1 + s * (q0 - q1) / (n0 - n1)
+                n1 += s
+            # Marker 2, between (q1, n1) and (q3, n3).
+            d = w2 - n2
+            if d >= 1.0 and n3 - n2 > 1:
+                s = 1
+            elif d <= -1.0 and n1 - n2 < -1:
+                s = -1
+            else:
+                s = 0
+            if s:
+                h = q2 + s / (n3 - n1) * (
+                    (n2 - n1 + s) * (q3 - q2) / (n3 - n2)
+                    + (n3 - n2 - s) * (q2 - q1) / (n2 - n1))
+                if q1 < h < q3:
+                    q2 = h
+                elif s == 1:
+                    q2 = q2 + s * (q3 - q2) / (n3 - n2)
+                else:
+                    q2 = q2 + s * (q1 - q2) / (n1 - n2)
+                n2 += s
+            # Marker 3, between (q2, n2) and (q4, n4).
+            d = w3 - n3
+            if d >= 1.0 and n4 - n3 > 1:
+                s = 1
+            elif d <= -1.0 and n2 - n3 < -1:
+                s = -1
+            else:
+                s = 0
+            if s:
+                h = q3 + s / (n4 - n2) * (
+                    (n3 - n2 + s) * (q4 - q3) / (n4 - n3)
+                    + (n4 - n3 - s) * (q3 - q2) / (n3 - n2))
+                if q2 < h < q4:
+                    q3 = h
+                elif s == 1:
+                    q3 = q3 + s * (q4 - q3) / (n4 - n3)
+                else:
+                    q3 = q3 + s * (q2 - q3) / (n2 - n3)
+                n3 += s
+        self._heights = [q0, q1, q2, q3, q4]
+        self._pos = [n0, n1, n2, n3, n4]
+        self._want = [w0, w1, w2, w3, w4]
+        self._n = n + len(xs) - start
 
     def value(self) -> float:
         if self._n == 0:
@@ -276,7 +341,7 @@ class _P2Quantile:
         Three regimes, each deterministic for a given pair of states:
 
         * either side has fewer than 5 samples — its raw samples are
-          replayed through :meth:`add` (exact);
+          replayed through :meth:`add_many` (exact);
         * both banks are live — the merged markers are read off the
           **count-weighted mixture** of the two piecewise-linear sketch
           CDFs, inverted at the canonical marker fractions
@@ -311,15 +376,13 @@ class _P2Quantile:
             return
         if other._n < 5:
             # Raw samples on the right: replay them (exact).
-            for x in list(other._heights):
-                self.add(x)
+            self.add_many(list(other._heights))
             return
         if self._n < 5:
             # Raw samples on the left: replay into a copy of the bank.
             merged = _P2Quantile(self.p)
             merged._adopt(other)
-            for x in list(self._heights):
-                merged.add(x)
+            merged.add_many(list(self._heights))
             self._adopt(merged)
             return
         wa, wb = self._n, other._n
@@ -395,22 +458,31 @@ class StreamingLatencyStats:
         self._max = float("-inf")
 
     def record(self, latency_ns: float) -> None:
-        if latency_ns < 0:
-            raise ValueError(f"negative latency: {latency_ns}")
-        self._count += 1
-        delta = latency_ns - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (latency_ns - self._mean)
-        if latency_ns < self._min:
-            self._min = latency_ns
-        if latency_ns > self._max:
-            self._max = latency_ns
-        for mark in self._marks.values():
-            mark.add(latency_ns)
+        self.extend((latency_ns,))
 
     def extend(self, samples: Iterable[float]) -> None:
-        for sample in samples:
-            self.record(sample)
+        """Record ``samples`` in order: one moments pass, then one
+        :meth:`_P2Quantile.add_many` per bank.  Atomic: a negative
+        sample raises ``ValueError`` before anything is recorded."""
+        batch = samples if isinstance(samples, (list, tuple)) \
+            else list(samples)
+        count, mean, m2 = self._count, self._mean, self._m2
+        lo, hi = self._min, self._max
+        for x in batch:
+            if x < 0:
+                raise ValueError(f"negative latency: {x}")
+            count += 1
+            delta = x - mean
+            mean += delta / count
+            m2 += delta * (x - mean)
+            if x < lo:
+                lo = x
+            if x > hi:
+                hi = x
+        self._count, self._mean, self._m2 = count, mean, m2
+        self._min, self._max = lo, hi
+        for mark in self._marks.values():
+            mark.add_many(batch)
 
     def merge(self, other: "StreamingLatencyStats") -> "StreamingLatencyStats":
         """Fold ``other``'s state into this recorder (and return self).

@@ -40,7 +40,7 @@ def test_rule_catalogue_is_complete_and_id_ordered():
     assert ids == sorted(ids)
     assert ids == ["DET101", "DET102", "DET103", "LINT001", "LINT002",
                    "PERF401", "PERF402", "PERF403", "PERF404", "PERF405",
-                   "PERF406", "PERF407",
+                   "PERF406", "PERF407", "PERF408",
                    "RAS501",
                    "SIM201", "SIM202", "SIM203", "SIM204", "UNIT301",
                    "UNIT302"]

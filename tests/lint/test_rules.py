@@ -845,6 +845,52 @@ def test_perf407_suppressible(tmp_path):
     assert rules == []
 
 
+
+# -- PERF408: latency recorder fed one sample per loop iteration ------------
+
+
+def test_perf408_flags_per_sample_record(tmp_path):
+    rules = lint_source(tmp_path, """
+        def fill(stream, samples, clients):
+            for s in samples:
+                stream.record(s)
+            for c in clients:
+                if c.ok:
+                    c.stats.record(c)
+    """, select=["PERF408"])
+    assert rules == ["PERF408"] * 2
+
+
+def test_perf408_allows_keyed_derived_and_batched_records(tmp_path):
+    """Two-argument records, records of a value derived from the loop
+    variable, tuple targets and ``extend`` are not the flagged shape."""
+    rules = lint_source(tmp_path, """
+        def fill(slo, stream, samples, pairs, sim):
+            for latency in samples:
+                slo.record("tenant-a", latency)
+                stream.record(latency * 2.0)
+                stream.record(value=latency)
+            for tenant, latency in pairs:
+                stream.record(latency)
+            for s in samples:
+                pass
+            else:
+                stream.record(s)
+            stream.extend(samples)
+            stream.record(sim.now)
+    """, select=["PERF408"])
+    assert rules == []
+
+
+def test_perf408_suppressible(tmp_path):
+    rules = lint_source(tmp_path, """
+        def reference(stream, samples):
+            # One call per sample is the reference being tested.
+            for s in samples:  # reprolint: disable=PERF408
+                stream.record(s)
+    """, select=["PERF408"])
+    assert rules == []
+
 def test_perf404_suppressible(tmp_path):
     rules = lint_source(tmp_path, """
         from repro.core.platform import Platform

@@ -9,6 +9,7 @@ Each is pinned here as a property over random host sets.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,19 @@ def test_property_every_key_has_exactly_one_owner(hosts, seed):
             assert k not in claimed, (k, h, claimed[k])
             claimed[k] = h
     assert claimed == owners
+
+
+@settings(max_examples=40, deadline=None)
+@given(hosts=host_sets, seed=seeds, vnodes=st.integers(1, 16),
+       n_keys=st.integers(0, 1024))
+def test_property_owner_table_equals_per_key_owner(hosts, seed, vnodes,
+                                                   n_keys):
+    """The vectorized table the shards build per ring, wrap-around past
+    the last point included (few vnodes leave wide gaps)."""
+    ring = HashRing(hosts, seed, vnodes=vnodes)
+    table = ring.owner_table(n_keys)
+    assert table.dtype == np.int64
+    assert table.tolist() == [ring.owner(k) for k in range(n_keys)]
 
 
 def test_different_seeds_place_keys_differently():

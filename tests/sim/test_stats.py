@@ -55,6 +55,16 @@ def test_latency_stats_rejects_negative():
         stats.record(-1.0)
 
 
+def test_latency_stats_extend_is_atomic():
+    stats = LatencyStats()
+    stats.extend([3.0, 1.0])
+    assert stats.p50() == 2.0
+    with pytest.raises(ValueError, match="negative latency: -2.0"):
+        stats.extend(x for x in (5.0, -2.0, 7.0))
+    assert stats._samples == [3.0, 1.0]
+    assert stats.p50() == 2.0
+
+
 def test_latency_stats_empty_percentile_rejected():
     with pytest.raises(ValueError):
         LatencyStats().p99()
