@@ -34,13 +34,24 @@ Background work (posted-write drains, dirty-victim writebacks) is
 charged into per-channel write-queue ledgers and covered by ghost
 processes so the simulation clock ends on the same final timestamp as
 the per-line run.
+
+Every builder also has a **serial mode** for dependent accesses — the
+microbenchmark's latency phase, where each access runs alone to
+completion via ``sim.run_process`` and the simulator drains between
+accesses.  The same per-line loop replays it with three changes: line
+*i* is granted at line *i-1*'s drain end ``max(c, bg_end)`` instead of
+a window slot (every stage-free float and write-queue entry is then at
+or below the grant, so the existing ``max`` picks reproduce an idle
+pipeline); its raw latency is measured from that grant; and the clock
+lands on the last line's drain end.  A serial train needs a quiescent
+simulator and no live group.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import flags
 from repro.core.requests import BiasMode, D2HOp, HostOp
@@ -184,6 +195,53 @@ def _all_idle(resources: List[Any]) -> bool:
     return all(r.in_use == 0 and not r._waiters for r in resources)
 
 
+def quiescent(p: Any) -> bool:
+    """Whether ``p``'s simulator has nothing queued.
+
+    Eligibility inspects resources, which cannot see work that is queued
+    but not yet started (dirty-victim writebacks spawned while priming a
+    cache).  A caller that starts a train from a drained state checks
+    this first; a refusal with bulk on counts as the ``pending``
+    fallback."""
+    if p.sim.quiescent:
+        return True
+    if flags.get("bulk"):
+        BULK_STATS.fallback("pending")
+    return False
+
+
+def _refusal(p: Any, key: tuple, addrs: List[int], serial: bool,
+             resources: Callable[[], List[Any]]) -> Optional[str]:
+    """Why a train keyed ``key`` may not start now, or None.
+
+    A pipelined train extends the live group of its timestamp and key,
+    or opens a fresh group over idle ``resources``.  A serial train
+    always opens a fresh group and needs a quiescent simulator too."""
+    group = _live_group(p)
+    if group is not None:
+        if serial or group.t0 != p.sim.now or group.key != key:
+            return "group-overlap"
+        if any(a in group.claimed for a in addrs):
+            return "addr-overlap"
+        return None
+    if serial and not p.sim.quiescent:
+        return "pending"
+    if not _all_idle(resources()):
+        return "busy"
+    return None
+
+
+def _lsu_resources(p: Any, lsu: Any, channels: List[Any]) -> List[Any]:
+    """Every shared resource an LSU train's lines can queue on."""
+    t2 = p.t2
+    resources = [lsu._window, lsu._issue, t2.dcoh._write_pipe]
+    resources += [extra._window for extra in t2._extra_lsus]
+    resources += list(t2.port.link._wires.values())
+    for ch in channels:
+        resources += [ch._wq, ch._drain, ch._read_bw]
+    return resources
+
+
 def _unexpected_writeback(addr: int) -> None:
     raise SimulationError(
         f"bulk train evicted a dirty line ({hex(addr)}) the eligibility "
@@ -195,8 +253,8 @@ def _ghost(until: float) -> Generator[Any, Any, None]:
     yield WakeAt(until)
 
 
-def _train(sim: Any, group: _TrainGroup, fore_end: float,
-           completions: List[float]) -> Generator[Any, Any, List[float]]:
+def _train(group: _TrainGroup, fore_end: float,
+           out: List[float]) -> Generator[Any, Any, List[float]]:
     """The generator handed back to the per-line call site.
 
     Lands on the train's foreground end; the first member of the group
@@ -207,23 +265,47 @@ def _train(sim: Any, group: _TrainGroup, fore_end: float,
     yield WakeAt(fore_end)
     if not group.drawn:
         group.drawn = True
-        for __, __, fn, raw, out, i in sorted(
+        for __, __, fn, raw, res, i in sorted(
                 group.pending, key=lambda e: (e[0], e[1])):
-            out[i] = fn(raw)
-    return completions
+            res[i] = fn(raw)
+    return out
+
+
+def _launch(p: Any, group: _TrainGroup, addrs: List[int],
+            completions: List[float], results: List[float], bg_end: float,
+            serial: bool) -> Generator[Any, Any, List[float]]:
+    """Publish a built train and return the generator the caller runs.
+
+    A ghost holds the clock open past the foreground end until the
+    background work the train charged would drain.  A pipelined train
+    returns its completion times; a serial one returns its jittered
+    latencies, as ``[run_process(op(a)) for a in addrs]`` would."""
+    group.claimed.update(addrs)
+    fore_end = max(completions)
+    if bg_end > group.horizon or fore_end > group.horizon:
+        group.horizon = max(group.horizon, fore_end, bg_end)
+    p._bulk_group = group
+    family, op = group.key[0], group.key[1]
+    if bg_end > fore_end:
+        p.sim.spawn(_ghost(bg_end), f"bulk.{family}.bg")
+    mode = "-serial" if serial else ""
+    BULK_STATS.batch(f"{family}{mode}/{op.value}", len(addrs))
+    return _train(group, fore_end, results if serial else completions)
 
 
 # ----------------------------------------------------------------------
 # D2H trains (LSU -> DCOH -> CXL.cache -> home agent)
 # ----------------------------------------------------------------------
 
-def try_lsu_train(p: Any, lsu: Any, op: D2HOp,
-                  addrs: List[int]) -> Optional[Generator[Any, Any,
-                                                          List[float]]]:
+def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
+                  serial: bool = False) -> Optional[Generator[Any, Any,
+                                                              List[float]]]:
     """Attempt to batch ``lsu.d2h(op, addr) for addr in addrs`` into one
     train.  Returns a generator bit-exact to running the per-line
-    processes pipelined from the current timestamp, or ``None`` when the
-    stream is not provably homogeneous (caller falls back per-line)."""
+    processes pipelined from the current timestamp — with ``serial``, to
+    ``[sim.run_process(lsu.d2h(op, a)) for a in addrs]`` — or ``None``
+    when the stream is not provably homogeneous (caller falls back
+    per-line)."""
     if op not in _D2H_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
     reason = _static_block_reason(p)
@@ -245,23 +327,11 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp,
     hmc, llc, mem = dcoh.hmc, home.llc, home.mem
     key = ("d2h", op)
 
-    group = _live_group(p)
-    if group is not None:
-        if group.t0 != t0 or group.key != key:
-            BULK_STATS.fallback("group-overlap")
-            return None
-        if any(a in group.claimed for a in addrs):
-            BULK_STATS.fallback("addr-overlap")
-            return None
-    else:
-        resources = [lsu._window, lsu._issue, dcoh._write_pipe]
-        resources += [extra._window for extra in t2._extra_lsus]
-        resources += list(t2.port.link._wires.values())
-        for ch in mem.channels:
-            resources += [ch._wq, ch._drain, ch._read_bw]
-        if not _all_idle(resources):
-            BULK_STATS.fallback("busy")
-            return None
+    reason = _refusal(p, key, addrs, serial,
+                      lambda: _lsu_resources(p, lsu, mem.channels))
+    if reason is not None:
+        BULK_STATS.fallback(reason)
+        return None
 
     # -- branch pre-scan: every line must take one uniform path ---------
     hmc_lines = [hmc.peek(a) for a in addrs]
@@ -301,15 +371,15 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp,
         # Keep every channel's queue below capacity so enqueue-complete
         # times stay monotone across channels (no cross-channel
         # reordering at the shared ack wire).
-        if len(addrs) > mem.channels[0].cfg.write_queue_entries:
+        if (not serial
+                and len(addrs) > mem.channels[0].cfg.write_queue_entries):
             BULK_STATS.fallback("wq-depth")
             return None
     else:                                   # NC_P
         branch = "push"
 
     # -- eligibility proven: build the train ----------------------------
-    if group is None:
-        group = _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
+    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
 
     lcfg = t2.port.link.cfg
     ser_req = lcfg.serialization_ns(REQ_BYTES)
@@ -332,10 +402,14 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp,
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
+    c = t0
     up_msgs = up_bytes = down_msgs = down_bytes = 0
 
     for k, addr in enumerate(addrs):
-        g = group.grant(t0)
+        if serial:                  # the previous line's drain end
+            g = c if bg_end <= c else bg_end
+        else:
+            g = group.grant(t0)
         gi = group.count
         group.count += 1
         # lsu.issue (FIFO, one slot per fabric cycle) + DCOH front end
@@ -422,30 +496,23 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp,
             c = t
         completions[k] = c
         heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, lsu._jittered, c - t0, results, k))
+        group.pending.append((c, gi, lsu._jittered,
+                              c - (g if serial else t0), results, k))
 
     dcoh.d2h_count += K
     link = t2.port.link
     link.messages += up_msgs + down_msgs
     link.bytes_moved += up_bytes + down_bytes
-    group.claimed.update(addrs)
-    fore_end = max(completions)
-    if bg_end > group.horizon or fore_end > group.horizon:
-        group.horizon = max(group.horizon, fore_end, bg_end)
-    p._bulk_group = group
-    if bg_end > fore_end:
-        sim.spawn(_ghost(bg_end), "bulk.d2h.bg")
-    BULK_STATS.batch(f"d2h/{op.value}", K)
-    return _train(sim, group, fore_end, completions)
+    return _launch(p, group, addrs, completions, results, bg_end, serial)
 
 
 # ----------------------------------------------------------------------
 # D2D trains (LSU -> DCOH -> DMC / device memory, bias-mode aware)
 # ----------------------------------------------------------------------
 
-def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
-                      addrs: List[int]) -> Optional[Generator[Any, Any,
-                                                              List[float]]]:
+def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
+                      serial: bool = False) -> Optional[
+                          Generator[Any, Any, List[float]]]:
     """Attempt to batch ``lsu.d2d(op, addr) for addr in addrs``.
 
     D2D streams are homogeneous when every line resolves to one bias
@@ -453,7 +520,8 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
     a clean host LLC (a dirty host copy takes the data-pull branch).
     Dirty DMC victims evicted by fills are replayed into the device
     channels' write-queue ledgers, exactly like the per-line writeback
-    processes they stand in for."""
+    processes they stand in for.  ``serial`` as for
+    :func:`try_lsu_train`."""
     if op not in _D2D_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
     reason = _static_block_reason(p)
@@ -484,23 +552,11 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
     host_bias = biases.pop() is BiasMode.HOST
     key = ("d2d", op, host_bias)
 
-    group = _live_group(p)
-    if group is not None:
-        if group.t0 != t0 or group.key != key:
-            BULK_STATS.fallback("group-overlap")
-            return None
-        if any(a in group.claimed for a in addrs):
-            BULK_STATS.fallback("addr-overlap")
-            return None
-    else:
-        resources = [lsu._window, lsu._issue, dcoh._write_pipe]
-        resources += [extra._window for extra in t2._extra_lsus]
-        resources += list(t2.port.link._wires.values())
-        for ch in dev.channels:
-            resources += [ch._wq, ch._drain, ch._read_bw]
-        if not _all_idle(resources):
-            BULK_STATS.fallback("busy")
-            return None
+    reason = _refusal(p, key, addrs, serial,
+                      lambda: _lsu_resources(p, lsu, dev.channels))
+    if reason is not None:
+        BULK_STATS.fallback(reason)
+        return None
 
     # -- branch pre-scan: one uniform path for every line ---------------
     dmc_lines = [dmc.peek(a) for a in addrs]
@@ -532,8 +588,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
         return None
 
     # -- eligibility proven: build the train ----------------------------
-    if group is None:
-        group = _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
+    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
 
     lcfg = t2.port.link.cfg
     ser_req = lcfg.serialization_ns(REQ_BYTES)
@@ -557,10 +612,14 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
+    c = t0
     up_msgs = up_bytes = down_msgs = down_bytes = 0
 
     for k, addr in enumerate(addrs):
-        g = group.grant(t0)
+        if serial:                  # the previous line's drain end
+            g = c if bg_end <= c else bg_end
+        else:
+            g = group.grant(t0)
         gi = group.count
         group.count += 1
         t = (g if group.issue_free <= g else group.issue_free) + issue_ns
@@ -651,21 +710,14 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
                 c = t
         completions[k] = c
         heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, lsu._jittered, c - t0, results, k))
+        group.pending.append((c, gi, lsu._jittered,
+                              c - (g if serial else t0), results, k))
 
     dcoh.d2d_count += K
     link = t2.port.link
     link.messages += up_msgs + down_msgs
     link.bytes_moved += up_bytes + down_bytes
-    group.claimed.update(addrs)
-    fore_end = max(completions)
-    if bg_end > group.horizon or fore_end > group.horizon:
-        group.horizon = max(group.horizon, fore_end, bg_end)
-    p._bulk_group = group
-    if bg_end > fore_end:
-        sim.spawn(_ghost(bg_end), "bulk.d2d.bg")
-    BULK_STATS.batch(f"d2d/{op.value}", K)
-    return _train(sim, group, fore_end, completions)
+    return _launch(p, group, addrs, completions, results, bg_end, serial)
 
 
 # ----------------------------------------------------------------------
@@ -673,15 +725,15 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp,
 # ----------------------------------------------------------------------
 
 def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
-                  addrs: List[int]) -> Optional[Generator[Any, Any,
-                                                          List[float]]]:
+                  addrs: List[int], serial: bool = False) -> Optional[
+                      Generator[Any, Any, List[float]]]:
     """Attempt to batch ``core.cxl_op(NT_STORE, addr, device)`` streams.
 
     Only the posted nt-store path batches: its foreground is pure
     window/wire arithmetic (the store retires at the CXL controller) and
     the device-side work — bias touch, DMC check, posted DRAM write — is
     replayed into background ledgers.  Loads and ordered stores return
-    ``None`` (per-line)."""
+    ``None`` (per-line).  ``serial`` as for :func:`try_lsu_train`."""
     if op is not HostOp.NT_STORE or len(addrs) < MIN_TRAIN_LINES:
         return None
     reason = _static_block_reason(p)
@@ -704,29 +756,23 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     key = ("h2d", op)
     window = core._win[("cxl", op)]
 
-    group = _live_group(p)
-    if group is not None:
-        if group.t0 != t0 or group.key != key:
-            BULK_STATS.fallback("group-overlap")
-            return None
-        if any(a in group.claimed for a in addrs):
-            BULK_STATS.fallback("addr-overlap")
-            return None
-    else:
-        resources = [window, t2.port.link._wires[Direction.TO_DEVICE]]
+    def resources() -> List[Any]:
+        out = [window, t2.port.link._wires[Direction.TO_DEVICE]]
         for ch in dev_mem.channels:
-            resources += [ch._wq, ch._drain]
-        if not _all_idle(resources):
-            BULK_STATS.fallback("busy")
-            return None
+            out += [ch._wq, ch._drain]
+        return out
+
+    reason = _refusal(p, key, addrs, serial, resources)
+    if reason is not None:
+        BULK_STATS.fallback(reason)
+        return None
 
     # Any resident DMC line takes a coherence-state branch per line.
     if any(dcoh.dmc.peek(a) is not None for a in addrs):
         BULK_STATS.fallback("dmc-state")
         return None
 
-    if group is None:
-        group = _TrainGroup(key, t0, window.capacity)
+    group = _live_group(p) or _TrainGroup(key, t0, window.capacity)
 
     lcfg = t2.port.link.cfg
     ser_data = lcfg.serialization_ns(REQ_BYTES + DATA_BYTES)
@@ -740,9 +786,13 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
+    c = t0
 
     for k, addr in enumerate(addrs):
-        g = group.grant(t0)
+        if serial:                  # the previous line's drain end
+            g = c if bg_end <= c else bg_end
+        else:
+            g = group.grant(t0)
         gi = group.count
         group.count += 1
         t = g + issue_ns
@@ -753,7 +803,8 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
         c = t + prop                        # retires at the controller
         completions[k] = c
         heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, core._jittered, c - t0, results, k))
+        group.pending.append((c, gi, core._jittered,
+                              c - (g if serial else t0), results, k))
         # Background: the posted device-side write spawned at c.
         t2.bias.h2d_touch(addr)
         b = c + fabric_ns
@@ -768,12 +819,4 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     link = t2.port.link
     link.messages += K
     link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
-    group.claimed.update(addrs)
-    fore_end = max(completions)
-    if bg_end > group.horizon or fore_end > group.horizon:
-        group.horizon = max(group.horizon, fore_end, bg_end)
-    p._bulk_group = group
-    if bg_end > fore_end:
-        sim.spawn(_ghost(bg_end), "bulk.h2d.bg")
-    BULK_STATS.batch("h2d/nt-st", K)
-    return _train(sim, group, fore_end, completions)
+    return _launch(p, group, addrs, completions, results, bg_end, serial)

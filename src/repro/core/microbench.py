@@ -13,11 +13,22 @@ then reduces repetitions to median +- std exactly as the paper does.
 The paper uses N = 16 64 B accesses ("frequent host-device transfers of
 small amounts of data") and >=1 K repetitions; repetitions here default
 lower for CI speed but are configurable.
+
+Both phases of the D2H, D2D and Type-2 H2D scenarios replay through the
+exact-replay trains of :mod:`repro.core.fastpath` when eligible: the
+bandwidth phase as one pipelined train, the latency phase as one
+*serial* train, bit-exact to the per-line ``run_process`` loop.  A train
+starts only from a quiescent simulator: when ``prepare()`` left
+dirty-victim writebacks queued, the bandwidth phase runs per-line and
+the latency phase runs its first access per-line (its run drains the
+writebacks) and trains the rest.  The emulated-D2H and after-NC-P
+scenarios have no train family and always run per-line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.core import fastpath
@@ -42,9 +53,10 @@ class Measurement:
 
 OpFactory = Callable[[int], Generator[Any, Any, float]]
 PrepareFn = Callable[[list[int]], None]
-# Optional bulk fast-forward: given the pipelined phase's addresses,
-# return a bit-exact batched train or None (per-line fallback).
-BulkFn = Callable[[list[int]], Optional[Generator[Any, Any, list[float]]]]
+# Optional bulk fast-forward: ``bulk(addrs)`` returns a train bit-exact
+# to the pipelined run, ``bulk(addrs, serial=True)`` one bit-exact to
+# the dependent-access loop, or None (per-line fallback).
+BulkFn = Callable[..., Optional[Generator[Any, Any, list[float]]]]
 
 
 class Microbench:
@@ -91,8 +103,17 @@ class Microbench:
             # Latency: dependent accesses, one at a time.
             addrs = self._ordered(fresh(n))
             prepare(addrs)
-            for addr in addrs:
-                latencies.append(sim.run_process(make_op(addr)))
+            if bulk is not None and not fastpath.quiescent(self.p):
+                # prepare() queued writebacks: this access's run drains
+                # them, and the rest can train.
+                latencies.append(sim.run_process(make_op(addrs[0])))
+                addrs = addrs[1:]
+            train = bulk(addrs, serial=True) if bulk is not None else None
+            if train is not None:
+                latencies += sim.run_process(train)
+            else:
+                for addr in addrs:
+                    latencies.append(sim.run_process(make_op(addr)))
             # Bandwidth: the same scenario, pipelined.  Elapsed time is
             # first-issue to last *completion of the measured accesses* --
             # background work (write-queue drains, victim writebacks)
@@ -106,7 +127,8 @@ class Microbench:
                 yield from make_op(addr)
                 done_at.append(sim.now)
 
-            train = bulk(addrs) if bulk is not None else None
+            train = (bulk(addrs) if bulk is not None
+                     and fastpath.quiescent(self.p) else None)
             if train is not None:
                 done_at = sim.run_process(train)
             else:
@@ -132,7 +154,7 @@ class Microbench:
             f"d2h/{op.value}/llc-{int(llc_hit)}",
             lambda addr: lsu.d2h(op, addr),
             prepare, self.p.fresh_host_lines,
-            bulk=lambda addrs: fastpath.try_lsu_train(self.p, lsu, op, addrs),
+            bulk=partial(fastpath.try_lsu_train, self.p, lsu, op),
         )
 
     def emulated_d2h(self, op: HostOp, llc_hit: bool) -> Measurement:
@@ -177,8 +199,7 @@ class Microbench:
             f"d2d/{op.value}/{bias.value}/dmc-{int(dmc_hit)}",
             lambda addr: t2.lsu.d2d(op, addr),
             prepare, self.p.fresh_dev_lines, accesses=accesses,
-            bulk=lambda addrs: fastpath.try_lsu_d2d_train(
-                self.p, t2.lsu, op, addrs),
+            bulk=partial(fastpath.try_lsu_d2d_train, self.p, t2.lsu, op),
         )
 
     # ------------------------------------------------------------------
@@ -209,8 +230,7 @@ class Microbench:
             f"h2d/{device}/{op.value}/dmc-{state}",
             lambda addr: core.cxl_op(op, addr, target),
             prepare, self.p.fresh_dev_lines,
-            bulk=lambda addrs: fastpath.try_h2d_train(
-                self.p, core, op, target, addrs),
+            bulk=partial(fastpath.try_h2d_train, self.p, core, op, target),
         )
 
     def h2d_after_ncp(self, op: HostOp) -> Measurement:

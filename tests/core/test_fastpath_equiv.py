@@ -2,11 +2,13 @@
 
 Every scenario runs the identical workload twice — bulk disabled, then
 enabled — on freshly seeded platforms, and the results must compare
-equal: summaries, reports, and final simulation timestamps are the
-same IEEE doubles.  Armed faults and sanitizers must force the
-per-line path (counted in the fallback telemetry), and the CLI
-experiments must emit byte-identical stdout for ``REPRO_BULK=0/1``
-at ``--jobs 1`` and ``--jobs 4``.
+equal: summaries, reports, final simulation timestamps and RNG states
+are the same IEEE doubles and draws.  Serial trains are diffed against
+the per-line dependent-access loop on twin platforms over every train
+family.  Armed faults and sanitizers must force the per-line path
+(counted in the fallback telemetry), and the CLI experiments must emit
+byte-identical stdout for ``REPRO_BULK=0/1`` at ``--jobs 1`` and
+``--jobs 4``.
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import flags
+from repro.core import fastpath
 from repro.core.microbench import Microbench
 from repro.core.offload import OffloadEngine
 from repro.core.platform import Platform
 from repro.core.requests import BiasMode, D2HOp, HostOp
 from repro.core.transfer import TransferBench
 from repro.faults import FaultPlan
+from repro.mem.coherence import LineState
 from repro.sim.bulk import BULK_STATS
 from repro.units import PAGE_SIZE
 
@@ -47,13 +53,45 @@ def _both(fn):
     return off, on, BULK_STATS.snapshot()
 
 
+def _cache(cache):
+    return [(line.addr, line.state, line.poisoned) for line in cache.lines()]
+
+
+def _fingerprint(p):
+    """Every piece of platform state a train replays, compared with ==."""
+    t2 = p.t2
+    link = t2.port.link
+    dcoh = t2.dcoh
+    return {
+        "now": p.sim.now,
+        "rng": (t2.lsu.rng.state(), p.core.rng.state(), p.rng.state()),
+        "link": (link.messages, link.bytes_moved),
+        "channels": [(ch.reads, ch.writes)
+                     for ch in p.home.mem.channels + t2.dev_mem.channels],
+        "counters": (dcoh.d2h_count, dcoh.d2d_count, t2.h2d_writes),
+        "dmc": _cache(dcoh.dmc),
+        "hmc": _cache(dcoh.hmc),
+        "llc": _cache(p.home.llc),
+    }
+
+
 # ---------------------------------------------------------------------------
 # microbenchmark scenarios, one per train family
 
 
 def _micro(scenario):
-    mb = Microbench(Platform(seed=9), reps=4, accesses=16)
-    return scenario(mb)
+    p = Platform(seed=9)
+    result = scenario(Microbench(p, reps=4, accesses=16))
+    return result, _fingerprint(p)
+
+
+def _co_wr_then_nc_wr(mb):
+    """CO-wr leaves the DMC dirty, so priming the NC-wr scenario's DMC
+    hits queues victim writebacks no resource shows yet: both phases
+    must see them (the ``pending`` fallback)."""
+    mb = Microbench(mb.p, reps=3, accesses=256)
+    return [mb.d2d(D2HOp.CO_WRITE, BiasMode.DEVICE, dmc_hit=True),
+            mb.d2d(D2HOp.NC_WRITE, BiasMode.DEVICE, dmc_hit=True)]
 
 
 MICRO_SCENARIOS = {
@@ -72,6 +110,9 @@ MICRO_SCENARIOS = {
         D2HOp.NC_WRITE, BiasMode.HOST, dmc_hit=False),
     "d2d-co-wr-dev": lambda mb: mb.d2d(
         D2HOp.CO_WRITE, BiasMode.DEVICE, dmc_hit=False),
+    "d2d-co-wr-host-256": lambda mb: mb.d2d(
+        D2HOp.CO_WRITE, BiasMode.HOST, dmc_hit=False, accesses=256),
+    "d2d-co-wr-then-nc-wr": _co_wr_then_nc_wr,
 }
 
 
@@ -81,6 +122,16 @@ def test_microbench_identical_bulk_off_and_on(name):
     off, on, stats = _both(lambda: _micro(scenario))
     assert off == on
     assert stats["total_batches"] > 0, stats
+    # The latency phase trains too.
+    assert any("-serial/" in kind for kind in stats["batches"]), stats
+
+
+def test_queued_writebacks_demote_microbench_trains():
+    __, __, stats = _both(lambda: _micro(_co_wr_then_nc_wr))
+    assert stats["fallbacks"].get("pending", 0) > 0, stats
+    # Every rep's latency phase still trains once its first access has
+    # drained the queued writebacks.
+    assert stats["batches"]["d2d-serial/nc-wr"] == 3, stats
 
 
 def test_transfer_bench_identical_bulk_off_and_on():
@@ -122,6 +173,86 @@ def test_offload_flows_identical_bulk_off_and_on():
     # The offload flows exercise both d2h and d2d trains.
     assert any(k.startswith("d2h/") for k in stats["batches"]), stats
     assert any(k.startswith("d2d/") for k in stats["batches"]), stats
+
+
+# ---------------------------------------------------------------------------
+# serial trains against the per-line dependent-access loop, twin platforms
+
+SERIAL_PATHS = (
+    [("d2h", op) for op in (D2HOp.NC_READ, D2HOp.CS_READ, D2HOp.NC_WRITE,
+                            D2HOp.NC_P)]
+    + [("d2d", op) for op in (D2HOp.NC_READ, D2HOp.CS_READ, D2HOp.CO_READ,
+                              D2HOp.NC_WRITE, D2HOp.CO_WRITE)]
+    + [("h2d", HostOp.NT_STORE)])
+
+
+def _serial_setup(p, family, op, bias, cache_hit, llc_hit, dirty, n):
+    """Prime one twin; return (addrs, per-line op factory, train builder)."""
+    t2, dcoh = p.t2, p.t2.dcoh
+    if dirty:                     # dirty DMC/HMC: fills evict to DRAM
+        for addr in p.fresh_dev_lines(dcoh.dmc.capacity_lines):
+            dcoh._fill_dmc(addr, LineState.MODIFIED)
+        for addr in p.fresh_host_lines(dcoh.hmc.capacity_lines):
+            dcoh._fill_hmc(addr, LineState.MODIFIED)
+    if family == "d2h":
+        addrs = p.fresh_host_lines(n)
+        make = lambda a: t2.lsu.d2h(op, a)
+        build = lambda a: fastpath.try_lsu_train(p, t2.lsu, op, a,
+                                                 serial=True)
+        fill = dcoh._fill_hmc
+    elif family == "d2d":
+        t2.bias._mode["devmem"] = bias
+        addrs = p.fresh_dev_lines(n)
+        make = lambda a: t2.lsu.d2d(op, a)
+        build = lambda a: fastpath.try_lsu_d2d_train(p, t2.lsu, op, a,
+                                                     serial=True)
+        fill = dcoh._fill_dmc
+    else:
+        addrs = p.fresh_dev_lines(n)
+        make = lambda a: p.core.cxl_op(op, a, t2)
+        build = lambda a: fastpath.try_h2d_train(p, p.core, op, t2, a,
+                                                 serial=True)
+        fill = dcoh._fill_dmc
+    p.rng.shuffle(addrs)
+    for addr in addrs:
+        if cache_hit:
+            fill(addr, LineState.SHARED)
+        if llc_hit:
+            p.home.preload_llc(addr, LineState.SHARED)
+    return addrs, make, build
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(SERIAL_PATHS),
+       bias=st.sampled_from((BiasMode.HOST, BiasMode.DEVICE)),
+       cache_hit=st.booleans(), llc_hit=st.booleans(),
+       dirty=st.booleans(), pending=st.booleans(),
+       n=st.integers(2, 300), seed=st.integers(0, 2**16))
+def test_serial_train_matches_dependent_loop(path, bias, cache_hit, llc_hit,
+                                             dirty, pending, n, seed):
+    """Cache hit means HMC for d2h, DMC otherwise; ``dirty`` fills the
+    device caches with MODIFIED lines so fills evict to DRAM; ``pending``
+    leaves one access queued, which the first dependent access drains."""
+    family, op = path
+    twins = []
+    for serial in (False, True):
+        p = Platform(seed=seed)
+        addrs, make, build = _serial_setup(p, family, op, bias, cache_hit,
+                                           llc_hit, dirty, n)
+        if pending:               # queued work the first access drains
+            p.sim.spawn(make(addrs.pop()))
+        lat = []
+        if serial and not fastpath.quiescent(p):
+            assert build(addrs) is None
+            lat.append(p.sim.run_process(make(addrs[0])))
+            addrs = addrs[1:]
+        train = build(addrs) if serial else None
+        if train is not None:
+            lat += p.sim.run_process(train)
+        else:
+            lat += [p.sim.run_process(make(a)) for a in addrs]
+        twins.append((lat, _fingerprint(p)))
+    assert twins[0] == twins[1]
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +310,8 @@ def _cli(args, bulk, jobs):
 @pytest.mark.parametrize("args", [
     ("table4", "--reps", "2"),
     ("fig4", "--reps", "2"),
-], ids=["table4", "fig4"])
+    ("fig5", "--reps", "2"),
+], ids=["table4", "fig4", "fig5"])
 def test_cli_output_byte_identical_across_bulk_and_jobs(args):
     off = _cli(args, "0", 1)
     assert _cli(args, "1", 1) == off
