@@ -10,7 +10,7 @@ host-bias.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, Optional
 
 from repro.core.requests import BiasMode
 from repro.errors import DeviceError
@@ -40,6 +40,14 @@ class BiasController:
         region = self.regions.try_find(addr)
         if region is None:
             raise DeviceError(f"address {hex(addr)} not in device memory")
+        return self._mode[region.name]
+
+    def mode_of_span(self, lo: int, hi: int) -> Optional[BiasMode]:
+        """The mode of every address in ``[lo, hi]`` when one region
+        holds them all (regions are contiguous), else None."""
+        region = self.regions.try_find(lo)
+        if region is None or not region.contains(hi):
+            return None
         return self._mode[region.name]
 
     # -- switching -----------------------------------------------------------

@@ -28,7 +28,9 @@ Bit-exactness rests on three pillars:
   line's completion.  Trains sharing a start timestamp (the pipelined
   ``depth`` transfers of Fig 6) register draws into a shared group; the
   first train to resume performs them all in global completion order,
-  preserving the RNG stream exactly.
+  preserving the RNG stream exactly.  From :data:`VECTOR_DRAWS` draws
+  up, they are one vector draw, which equals the successive scalar
+  draws element for element and leaves the same generator state.
 
 Background work (posted-write drains, dirty-victim writebacks) is
 charged into per-channel write-queue ledgers and covered by ghost
@@ -49,8 +51,9 @@ simulator and no live group.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
+from functools import lru_cache
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro import flags
@@ -67,6 +70,13 @@ from repro.units import CACHELINE
 
 # Below this, per-line cost is negligible and a train buys nothing.
 MIN_TRAIN_LINES = 2
+
+# Deferred draws from which a group draws its jitter as one vector.
+# Measured on a 2-vCPU x86-64 host (CPython 3.11, numpy Generator):
+# scalar draws cost 6.7 us for 4, 13 us for 10 and 112 us for 64; the
+# vector draw costs 14-16 us up to 10 and 22 us for 64.  They cross
+# between 10 and 12 draws.
+VECTOR_DRAWS = 12
 
 _D2H_OPS = (D2HOp.NC_READ, D2HOp.CS_READ, D2HOp.NC_WRITE, D2HOp.NC_P)
 
@@ -120,19 +130,21 @@ class _TrainGroup:
     FIFO resources, so later trains simply *extend* the first train's
     pipeline state.  The group carries that state — window release
     stream, per-stage free floats, per-channel write-queue ledgers — and
-    the deferred jitter draws of every member train.
+    the deferred jitter draws of every member train.  A builder reads
+    the floats into locals and writes them back once.
     """
 
     __slots__ = ("key", "t0", "horizon", "count", "drawn", "pending",
                  "claimed", "win_free", "win_heap", "issue_free", "wp_free",
                  "up_free", "down_free", "rd_free", "wq")
 
-    def __init__(self, key: tuple, t0: float, window: int):
+    def __init__(self, key: tuple, t0: float, window: int, channels: int):
         self.key = key
         self.t0 = t0
         self.horizon = t0
         self.count = 0                # global child index across trains
         self.drawn = False
+        # (completion, child index, jitter owner, raw latency, out, slot)
         self.pending: List[tuple] = []
         self.claimed: set = set()
         self.win_free = window
@@ -141,15 +153,8 @@ class _TrainGroup:
         self.wp_free = 0.0
         self.up_free = 0.0
         self.down_free = 0.0
-        self.rd_free: Dict[Any, float] = {}
+        self.rd_free = [0.0] * channels    # per channel index
         self.wq: Dict[Any, _ChannelLedger] = {}
-
-    def grant(self, t0: float) -> float:
-        """Window admission: free slot now, else FIFO release hand-off."""
-        if self.win_free > 0:
-            self.win_free -= 1
-            return t0
-        return heapq.heappop(self.win_heap)[0]
 
     def wq_for(self, channel: Any) -> _ChannelLedger:
         ledger = self.wq.get(channel)
@@ -192,7 +197,10 @@ def _static_block_reason(p: Any) -> Optional[str]:
 
 
 def _all_idle(resources: List[Any]) -> bool:
-    return all(r.in_use == 0 and not r._waiters for r in resources)
+    for r in resources:
+        if r._in_use or r._waiters:
+            return False
+    return True
 
 
 def quiescent(p: Any) -> bool:
@@ -231,14 +239,25 @@ def _refusal(p: Any, key: tuple, addrs: List[int], serial: bool,
     return None
 
 
-def _lsu_resources(p: Any, lsu: Any, channels: List[Any]) -> List[Any]:
-    """Every shared resource an LSU train's lines can queue on."""
+def _lsu_resources(p: Any, family: str, channels: List[Any]) -> List[Any]:
+    """Every shared resource an LSU train's lines can queue on.
+
+    The resources are fixed at construction, so the list is built once
+    per platform, family and LSU count, and kept on the platform."""
     t2 = p.t2
-    resources = [lsu._window, lsu._issue, t2.dcoh._write_pipe]
-    resources += [extra._window for extra in t2._extra_lsus]
-    resources += list(t2.port.link._wires.values())
-    for ch in channels:
-        resources += [ch._wq, ch._drain, ch._read_bw]
+    built = getattr(p, "_bulk_resources", None)
+    if built is None:
+        built = p._bulk_resources = {}
+    key = (family, len(t2._extra_lsus))
+    resources = built.get(key)
+    if resources is None:
+        lsu = t2.lsu
+        resources = [lsu._window, lsu._issue, t2.dcoh._write_pipe]
+        resources += [extra._window for extra in t2._extra_lsus]
+        resources += list(t2.port.link._wires.values())
+        for ch in channels:
+            resources += [ch._wq, ch._drain, ch._read_bw]
+        built[key] = resources
     return resources
 
 
@@ -248,9 +267,39 @@ def _unexpected_writeback(addr: int) -> None:
         "pre-scan promised could not exist")
 
 
+@lru_cache(maxsize=None)
+def _wire_ns(lcfg: Any) -> Tuple[float, float, float, float]:
+    """Serialization time of a request, a request with data, a data
+    message and an ack on a link with config ``lcfg``."""
+    return (lcfg.serialization_ns(REQ_BYTES),
+            lcfg.serialization_ns(REQ_BYTES + DATA_BYTES),
+            lcfg.serialization_ns(DATA_BYTES),
+            lcfg.serialization_ns(ACK_BYTES))
+
+
 def _ghost(until: float) -> Generator[Any, Any, None]:
     """Hold the clock open until batched background work would finish."""
     yield WakeAt(until)
+
+
+def _draw(pending: List[tuple]) -> None:
+    """Perform a group's deferred jitter draws in completion order.
+
+    From :data:`VECTOR_DRAWS` draws of one owner up, a single vector
+    draw replaces the scalar ones; it yields the same floats and leaves
+    the generator where the scalar draws would."""
+    pending.sort()              # (completion, child index) is unique
+    owner = pending[0][2]
+    if (len(pending) >= VECTOR_DRAWS and owner.rng is not None
+            and owner.noise > 0
+            and all(entry[2] is owner for entry in pending)):
+        drawn = owner.rng.jitter_array([entry[3] for entry in pending],
+                                       owner.noise).tolist()
+        for (__, __, __, __, out, i), value in zip(pending, drawn):
+            out[i] = value
+    else:
+        for __, __, who, raw, out, i in pending:
+            out[i] = who._jittered(raw)
 
 
 def _train(group: _TrainGroup, fore_end: float,
@@ -265,13 +314,11 @@ def _train(group: _TrainGroup, fore_end: float,
     yield WakeAt(fore_end)
     if not group.drawn:
         group.drawn = True
-        for __, __, fn, raw, res, i in sorted(
-                group.pending, key=lambda e: (e[0], e[1])):
-            res[i] = fn(raw)
+        _draw(group.pending)
     return out
 
 
-def _launch(p: Any, group: _TrainGroup, addrs: List[int],
+def _launch(p: Any, group: _TrainGroup, kind: str, addrs: List[int],
             completions: List[float], results: List[float], bg_end: float,
             serial: bool) -> Generator[Any, Any, List[float]]:
     """Publish a built train and return the generator the caller runs.
@@ -285,11 +332,9 @@ def _launch(p: Any, group: _TrainGroup, addrs: List[int],
     if bg_end > group.horizon or fore_end > group.horizon:
         group.horizon = max(group.horizon, fore_end, bg_end)
     p._bulk_group = group
-    family, op = group.key[0], group.key[1]
     if bg_end > fore_end:
-        p.sim.spawn(_ghost(bg_end), f"bulk.{family}.bg")
-    mode = "-serial" if serial else ""
-    BULK_STATS.batch(f"{family}{mode}/{op.value}", len(addrs))
+        p.sim.spawn(_ghost(bg_end), f"bulk.{group.key[0]}.bg")
+    BULK_STATS.batch(kind, len(addrs))
     return _train(group, fore_end, results if serial else completions)
 
 
@@ -317,7 +362,8 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
         BULK_STATS.fallback("foreign-lsu")
         return None
-    if len(set(addrs)) != len(addrs):
+    K = len(addrs)
+    if len(set(addrs)) != K:
         BULK_STATS.fallback("dup-addrs")
         return None
 
@@ -328,29 +374,25 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     key = ("d2h", op)
 
     reason = _refusal(p, key, addrs, serial,
-                      lambda: _lsu_resources(p, lsu, mem.channels))
+                      lambda: _lsu_resources(p, "d2h", mem.channels))
     if reason is not None:
         BULK_STATS.fallback(reason)
         return None
 
     # -- branch pre-scan: every line must take one uniform path ---------
-    hmc_lines = [hmc.peek(a) for a in addrs]
-    if any(line is not None and line.poisoned for line in hmc_lines):
+    in_hmc, poisoned = hmc.residency(addrs)
+    if poisoned:
         BULK_STATS.fallback("poison")
         return None
-    hmc_hit = all(line is not None for line in hmc_lines)
-    hmc_miss = all(line is None for line in hmc_lines)
-    llc_present = [llc.peek(a) is not None for a in addrs]
-    llc_hit = all(llc_present)
-    llc_miss = not any(llc_present)
-
+    # The LLC is peeked only where the branch depends on it.
     is_read = op in (D2HOp.NC_READ, D2HOp.CS_READ)
     if is_read:
-        if hmc_hit:
+        in_llc = llc.residency(addrs)[0] if in_hmc == 0 else -1
+        if in_hmc == K:
             branch = "hmc"
-        elif hmc_miss and llc_hit:
+        elif in_llc == K:
             branch = "llc"
-        elif hmc_miss and llc_miss:
+        elif in_llc == 0:
             branch = "mem"
         else:
             BULK_STATS.fallback("mixed-branch")
@@ -364,146 +406,159 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                 BULK_STATS.fallback("dirty-hmc")
                 return None
     elif op is D2HOp.NC_WRITE:
-        if not (llc_hit or llc_miss):
+        in_llc = llc.residency(addrs)[0]
+        if 0 < in_llc < K:
             BULK_STATS.fallback("mixed-branch")
             return None
-        branch = "llc" if llc_hit else "mem"
+        branch = "llc" if in_llc else "mem"
         # Keep every channel's queue below capacity so enqueue-complete
         # times stay monotone across channels (no cross-channel
         # reordering at the shared ack wire).
         if (not serial
-                and len(addrs) > mem.channels[0].cfg.write_queue_entries):
+                and K > mem.channels[0].cfg.write_queue_entries):
             BULK_STATS.fallback("wq-depth")
             return None
     else:                                   # NC_P
         branch = "push"
 
     # -- eligibility proven: build the train ----------------------------
-    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
+    channels = mem.channels
+    nch = len(channels)
+    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding,
+                                          nch)
 
     lcfg = t2.port.link.cfg
-    ser_req = lcfg.serialization_ns(REQ_BYTES)
-    ser_data_up = lcfg.serialization_ns(REQ_BYTES + DATA_BYTES)
-    ser_data_down = lcfg.serialization_ns(DATA_BYTES)
-    ser_ack = lcfg.serialization_ns(ACK_BYTES)
+    ser_req, ser_data_up, ser_data_down, ser_ack = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
     issue_ns = lsu.cfg.lsu_issue_ns
     engine_ns = lsu.cfg.dcoh.engine_ns
     lookup_ns = lsu.cfg.dcoh.lookup_ns
     gap_ns = lsu.cfg.dcoh.write_issue_gap_ns
-    costs = dcoh.costs
+    agent_read_ns = dcoh.costs.read_ns
+    agent_write_ns = dcoh.costs.write_ns
+    miss_extra_ns = dcoh.costs.miss_extra_ns
     llc_ns = home.cfg.llc_ns
-    bw_ns = CACHELINE / mem.channels[0].cfg.bytes_per_ns
-    read_ns = mem.channels[0].cfg.read_ns
+    bw_ns = CACHELINE / channels[0].cfg.bytes_per_ns
+    read_ns = channels[0].cfg.read_ns
     cs_fill = op is D2HOp.CS_READ
+    at_hmc, at_llc = branch == "hmc", branch == "llc"
     victims: List[int] = []
+    hmc_lookup, llc_lookup, llc_insert = hmc.lookup, llc.lookup, llc.insert
+    wq_for = group.wq_for
 
-    K = len(addrs)
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
     c = t0
-    up_msgs = up_bytes = down_msgs = down_bytes = 0
+    win_free, win_heap = group.win_free, group.win_heap
+    issue_free, wp_free = group.issue_free, group.wp_free
+    up_free, down_free = group.up_free, group.down_free
+    rd_free, pending = group.rd_free, group.pending
+    gi = group.count
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
             g = c if bg_end <= c else bg_end
-        else:
-            g = group.grant(t0)
-        gi = group.count
-        group.count += 1
+        elif win_free:              # window admission: a free slot now,
+            win_free -= 1
+            g = t0
+        else:                       # else the FIFO release hand-off
+            g = heappop(win_heap)[0]
         # lsu.issue (FIFO, one slot per fabric cycle) + DCOH front end
-        t = (g if group.issue_free <= g else group.issue_free) + issue_ns
-        group.issue_free = t
+        t = (g if issue_free <= g else issue_free) + issue_ns
+        issue_free = t
         t += engine_ns
         t += lookup_ns
         if is_read:
-            line = hmc.lookup(addr)
-            if branch == "hmc":
+            if at_hmc:
+                line = hmc_lookup(addr)
                 t += lookup_ns                       # HMC data array
                 c = t
                 if cs_fill:                          # Table III: ends Shared
                     line.state = LineState.SHARED
             else:
-                u = t if group.up_free <= t else group.up_free
-                t = u + ser_req
-                group.up_free = t
+                t = (t if up_free <= t else up_free) + ser_req
+                up_free = t
                 t += prop
-                up_msgs += 1
-                up_bytes += REQ_BYTES
-                t += costs.read_ns
-                line = llc.lookup(addr)
+                t += agent_read_ns
                 t += llc_ns
-                if branch == "llc":
+                if at_llc:
+                    line = llc_lookup(addr)
                     if cs_fill and line.state.needs_downgrade_for_share:
                         line.state = LineState.SHARED
                 else:
-                    t += costs.miss_extra_ns
-                    ch = mem.channel_for(addr)
-                    ch.reads += 1
-                    free = group.rd_free.get(ch, 0.0)
+                    t += miss_extra_ns
+                    ci = (addr // CACHELINE) % nch
+                    channels[ci].reads += 1
+                    free = rd_free[ci]
                     t = (t if free <= t else free) + bw_ns
-                    group.rd_free[ch] = t
+                    rd_free[ci] = t
                     t += read_ns
-                d = t if group.down_free <= t else group.down_free
-                t = d + ser_data_down
-                group.down_free = t
+                t = (t if down_free <= t else down_free) + ser_data_down
+                down_free = t
                 t += prop
-                down_msgs += 1
-                down_bytes += DATA_BYTES
                 c = t
                 if cs_fill:
                     hmc.insert(addr, LineState.SHARED,
                                writeback=_unexpected_writeback)
         else:
-            wp = t if group.wp_free <= t else group.wp_free
-            t = wp + gap_ns
-            group.wp_free = t
+            t = (t if wp_free <= t else wp_free) + gap_ns
+            wp_free = t
             hmc.invalidate(addr)                     # Table III: -> Invalid
-            u = t if group.up_free <= t else group.up_free
-            t = u + ser_data_up
-            group.up_free = t
+            t = (t if up_free <= t else up_free) + ser_data_up
+            up_free = t
             t += prop
-            up_msgs += 1
-            up_bytes += REQ_BYTES + DATA_BYTES
-            t += costs.write_ns
+            t += agent_write_ns
             if op is D2HOp.NC_WRITE:
-                if branch == "llc":
+                if at_llc:
                     t += llc_ns
                     llc.set_state(addr, LineState.INVALID)
-                ch = mem.channel_for(addr)
+                ch = channels[(addr // CACHELINE) % nch]
                 ch.writes += 1
-                t, d_end = group.wq_for(ch).write(t)
+                t, d_end = wq_for(ch).write(t)
                 if d_end > bg_end:
                     bg_end = d_end
             else:                                    # NC_P -> host LLC
                 t += llc_ns
                 del victims[:]
-                llc.insert(addr, LineState.MODIFIED,
+                llc_insert(addr, LineState.MODIFIED,
                            writeback=victims.append)
                 for victim in victims:               # dirty victim -> DRAM
-                    vch = mem.channel_for(victim)
+                    vch = channels[(victim // CACHELINE) % nch]
                     vch.writes += 1
-                    __, d_end = group.wq_for(vch).write(t)
+                    __, d_end = wq_for(vch).write(t)
                     if d_end > bg_end:
                         bg_end = d_end
-            d = t if group.down_free <= t else group.down_free
-            t = d + ser_ack
-            group.down_free = t
+            t = (t if down_free <= t else down_free) + ser_ack
+            down_free = t
             t += prop
-            down_msgs += 1
-            down_bytes += ACK_BYTES
             c = t
         completions[k] = c
-        heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, lsu._jittered,
-                              c - (g if serial else t0), results, k))
+        heappush(win_heap, (c, gi))
+        pending.append((c, gi, lsu, c - (g if serial else t0), results, k))
+        gi += 1
 
+    group.win_free, group.count = win_free, gi
+    group.issue_free, group.wp_free = issue_free, wp_free
+    group.up_free, group.down_free = up_free, down_free
+    # Caches the pre-scan proved every line misses are not looked up
+    # per line: a miss has no LRU effect, only its count.
+    if is_read and not at_hmc:
+        hmc.misses += K
+        if not at_llc:
+            llc.misses += K
     dcoh.d2h_count += K
     link = t2.port.link
-    link.messages += up_msgs + down_msgs
-    link.bytes_moved += up_bytes + down_bytes
-    return _launch(p, group, addrs, completions, results, bg_end, serial)
+    if is_read:
+        if not at_hmc:
+            link.messages += 2 * K
+            link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
+    else:
+        link.messages += 2 * K
+        link.bytes_moved += (REQ_BYTES + DATA_BYTES + ACK_BYTES) * K
+    kind = ("d2h-serial/" if serial else "d2h/") + op.value
+    return _launch(p, group, kind, addrs, completions, results, bg_end,
+                   serial)
 
 
 # ----------------------------------------------------------------------
@@ -533,7 +588,8 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
         BULK_STATS.fallback("foreign-lsu")
         return None
-    if len(set(addrs)) != len(addrs):
+    K = len(addrs)
+    if len(set(addrs)) != K:
         BULK_STATS.fallback("dup-addrs")
         return None
 
@@ -541,58 +597,68 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     t0 = sim.now
     dcoh = t2.dcoh
     dmc, llc, dev = dcoh.dmc, p.home.llc, t2.dev_mem
-    try:
-        biases = {dcoh._bias_of(a) for a in addrs}
-    except DeviceError:
-        BULK_STATS.fallback("bias-error")
-        return None
-    if len(biases) != 1:
-        BULK_STATS.fallback("mixed-bias")
-        return None
-    host_bias = biases.pop() is BiasMode.HOST
+    # One bias region spanning the whole train settles every line's
+    # mode at once; otherwise ask line by line.
+    bias = (t2.bias.mode_of_span(min(addrs), max(addrs))
+            if dcoh._bias_of == t2.bias.mode_of_addr else None)
+    if bias is None:
+        try:
+            biases = {dcoh._bias_of(a) for a in addrs}
+        except DeviceError:
+            BULK_STATS.fallback("bias-error")
+            return None
+        if len(biases) != 1:
+            BULK_STATS.fallback("mixed-bias")
+            return None
+        bias = biases.pop()
+    host_bias = bias is BiasMode.HOST
     key = ("d2d", op, host_bias)
 
     reason = _refusal(p, key, addrs, serial,
-                      lambda: _lsu_resources(p, lsu, dev.channels))
+                      lambda: _lsu_resources(p, "d2d", dev.channels))
     if reason is not None:
         BULK_STATS.fallback(reason)
         return None
 
     # -- branch pre-scan: one uniform path for every line ---------------
-    dmc_lines = [dmc.peek(a) for a in addrs]
-    if any(line is not None and line.poisoned for line in dmc_lines):
+    in_dmc, poisoned = dmc.residency(addrs)
+    if poisoned:
         BULK_STATS.fallback("poison")
         return None
-    dmc_hit = all(line is not None for line in dmc_lines)
-    dmc_miss = all(line is None for line in dmc_lines)
     # NC-wr invalidates the DMC line regardless of residency — the only
     # op whose path does not branch on hit/miss.
-    if not (dmc_hit or dmc_miss) and op is not D2HOp.NC_WRITE:
+    if 0 < in_dmc < K and op is not D2HOp.NC_WRITE:
         BULK_STATS.fallback("mixed-branch")
         return None
-    branch = "dmc" if dmc_hit else "mem"
+    at_dmc = in_dmc == K
 
     is_read = op in _D2D_READS
     # Host-bias snoop runs for every write, and for reads only on a DMC
     # miss; a dirty host copy takes the data-pull branch per line.
-    snoops = host_bias and (not is_read or branch == "mem")
-    if snoops and any(llc.state_of(a).is_dirty for a in addrs):
+    snoops = host_bias and (not is_read or not at_dmc)
+    # A D2D train never fills the LLC: with none of its lines resident
+    # up front, no snoop finds a host copy.
+    llc_copies = snoops and llc.residency(addrs)[0] > 0
+    if llc_copies and any(llc.state_of(a).is_dirty for a in addrs):
         BULK_STATS.fallback("llc-dirty")
         return None
-    fills = branch == "mem" and op in (D2HOp.CS_READ, D2HOp.CO_READ,
-                                       D2HOp.CO_WRITE)
-    if fills and any(line.poisoned for line in dmc.lines()):
+    fills = not at_dmc and op in (D2HOp.CS_READ, D2HOp.CO_READ,
+                                  D2HOp.CO_WRITE)
+    if fills and dmc.poison_seen and any(line.poisoned
+                                         for line in dmc.lines()):
         # A poisoned victim would defer device-memory poison through
         # ``_poisoned_writebacks`` — per-line machinery only.
         BULK_STATS.fallback("poison")
         return None
 
     # -- eligibility proven: build the train ----------------------------
-    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding)
+    channels = dev.channels
+    nch = len(channels)
+    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding,
+                                          nch)
 
     lcfg = t2.port.link.cfg
-    ser_req = lcfg.serialization_ns(REQ_BYTES)
-    ser_ack = lcfg.serialization_ns(ACK_BYTES)
+    ser_req, __, __, ser_ack = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
     issue_ns = lsu.cfg.lsu_issue_ns
     engine_ns = lsu.cfg.dcoh.engine_ns
@@ -601,123 +667,126 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     if host_bias:
         gap_ns = gap_ns + HOST_BIAS_WRITE_GAP_EXTRA_NS
     write_ns = dcoh.costs.write_ns
-    bw_ns = CACHELINE / dev.channels[0].cfg.bytes_per_ns
-    read_ns = dev.channels[0].cfg.read_ns
+    bw_ns = CACHELINE / channels[0].cfg.bytes_per_ns
+    read_ns = channels[0].cfg.read_ns
     fill_state = (LineState.SHARED if op is D2HOp.CS_READ
                   else LineState.EXCLUSIVE if op is D2HOp.CO_READ
                   else LineState.MODIFIED)
+    read_fills = op is not D2HOp.NC_READ
+    co_write = op is D2HOp.CO_WRITE
     victims: List[int] = []
+    dmc_lookup, dmc_insert = dmc.lookup, dmc.insert
+    wq_for = group.wq_for
 
-    K = len(addrs)
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
     c = t0
-    up_msgs = up_bytes = down_msgs = down_bytes = 0
+    win_free, win_heap = group.win_free, group.win_heap
+    issue_free, wp_free = group.issue_free, group.wp_free
+    up_free, down_free = group.up_free, group.down_free
+    rd_free, pending = group.rd_free, group.pending
+    gi = group.count
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
             g = c if bg_end <= c else bg_end
-        else:
-            g = group.grant(t0)
-        gi = group.count
-        group.count += 1
-        t = (g if group.issue_free <= g else group.issue_free) + issue_ns
-        group.issue_free = t
+        elif win_free:              # window admission: a free slot now,
+            win_free -= 1
+            g = t0
+        else:                       # else the FIFO release hand-off
+            g = heappop(win_heap)[0]
+        t = (g if issue_free <= g else issue_free) + issue_ns
+        issue_free = t
         t += engine_ns
         t += lookup_ns
         if is_read:
-            dmc.lookup(addr)                     # hit/miss + LRU effects
-            if branch == "dmc":
+            if at_dmc:
+                dmc_lookup(addr)                 # hit + LRU effects
                 t += lookup_ns                   # DMC data array
                 c = t
             else:
                 if host_bias:                    # snoop: clean, ack back
-                    u = t if group.up_free <= t else group.up_free
-                    t = u + ser_req
-                    group.up_free = t
+                    t = (t if up_free <= t else up_free) + ser_req
+                    up_free = t
                     t += prop
-                    up_msgs += 1
-                    up_bytes += REQ_BYTES
                     t += write_ns
-                    d = t if group.down_free <= t else group.down_free
-                    t = d + ser_ack
-                    group.down_free = t
+                    t = (t if down_free <= t else down_free) + ser_ack
+                    down_free = t
                     t += prop
-                    down_msgs += 1
-                    down_bytes += ACK_BYTES
-                ch = dev.channel_for(addr)
-                ch.reads += 1
-                free = group.rd_free.get(ch, 0.0)
+                ci = (addr // CACHELINE) % nch
+                channels[ci].reads += 1
+                free = rd_free[ci]
                 t = (t if free <= t else free) + bw_ns
-                group.rd_free[ch] = t
+                rd_free[ci] = t
                 t += read_ns
                 c = t
-                if op is not D2HOp.NC_READ:
+                if read_fills:
                     del victims[:]
-                    dmc.insert(addr, fill_state, writeback=victims.append)
+                    dmc_insert(addr, fill_state, writeback=victims.append)
                     for victim in victims:       # dirty victim -> dev DRAM
-                        vch = dev.channel_for(victim)
+                        vch = channels[(victim // CACHELINE) % nch]
                         vch.writes += 1
-                        __, d_end = group.wq_for(vch).write(c)
+                        __, d_end = wq_for(vch).write(c)
                         if d_end > bg_end:
                             bg_end = d_end
         else:
-            wp = t if group.wp_free <= t else group.wp_free
-            t = wp + gap_ns
-            group.wp_free = t
+            t = (t if wp_free <= t else wp_free) + gap_ns
+            wp_free = t
             if host_bias:                        # snoop: clean, invalidate
-                u = t if group.up_free <= t else group.up_free
-                t = u + ser_req
-                group.up_free = t
+                t = (t if up_free <= t else up_free) + ser_req
+                up_free = t
                 t += prop
-                up_msgs += 1
-                up_bytes += REQ_BYTES
                 t += write_ns
-                if llc.state_of(addr).is_valid:
+                if llc_copies and llc.state_of(addr).is_valid:
                     llc.set_state(addr, LineState.INVALID)
-                d = t if group.down_free <= t else group.down_free
-                t = d + ser_ack
-                group.down_free = t
+                t = (t if down_free <= t else down_free) + ser_ack
+                down_free = t
                 t += prop
-                down_msgs += 1
-                down_bytes += ACK_BYTES
-            if op is D2HOp.CO_WRITE:
-                if branch == "dmc":
+            if co_write:
+                if at_dmc:
                     line = dmc.peek(addr)
                     t += lookup_ns
                     line.state = LineState.MODIFIED
                     line.scrub_poison()
                 else:
                     del victims[:]
-                    dmc.insert(addr, LineState.MODIFIED,
+                    dmc_insert(addr, LineState.MODIFIED,
                                writeback=victims.append)
                     for victim in victims:       # dirty victim -> dev DRAM
-                        vch = dev.channel_for(victim)
+                        vch = channels[(victim // CACHELINE) % nch]
                         vch.writes += 1
-                        __, d_end = group.wq_for(vch).write(t)
+                        __, d_end = wq_for(vch).write(t)
                         if d_end > bg_end:
                             bg_end = d_end
                     t += lookup_ns
                 c = t
             else:                                # NC_WRITE: posted to DRAM
                 dmc.invalidate(addr)
-                ch = dev.channel_for(addr)
+                ch = channels[(addr // CACHELINE) % nch]
                 ch.writes += 1
-                t, d_end = group.wq_for(ch).write(t)
+                t, d_end = wq_for(ch).write(t)
                 if d_end > bg_end:
                     bg_end = d_end
                 c = t
         completions[k] = c
-        heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, lsu._jittered,
-                              c - (g if serial else t0), results, k))
+        heappush(win_heap, (c, gi))
+        pending.append((c, gi, lsu, c - (g if serial else t0), results, k))
+        gi += 1
 
+    group.win_free, group.count = win_free, gi
+    group.issue_free, group.wp_free = issue_free, wp_free
+    group.up_free, group.down_free = up_free, down_free
+    if is_read and not at_dmc:      # proven misses: counted, not looked up
+        dmc.misses += K
     dcoh.d2d_count += K
-    link = t2.port.link
-    link.messages += up_msgs + down_msgs
-    link.bytes_moved += up_bytes + down_bytes
-    return _launch(p, group, addrs, completions, results, bg_end, serial)
+    if snoops:                      # one request up, one ack down per line
+        link = t2.port.link
+        link.messages += 2 * K
+        link.bytes_moved += (REQ_BYTES + ACK_BYTES) * K
+    kind = ("d2d-serial/" if serial else "d2d/") + op.value
+    return _launch(p, group, kind, addrs, completions, results, bg_end,
+                   serial)
 
 
 # ----------------------------------------------------------------------
@@ -745,7 +814,8 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     if device is not t2:
         BULK_STATS.fallback("h2d-target")
         return None
-    if len(set(addrs)) != len(addrs):
+    K = len(addrs)
+    if len(set(addrs)) != K:
         BULK_STATS.fallback("dup-addrs")
         return None
 
@@ -768,55 +838,64 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
         return None
 
     # Any resident DMC line takes a coherence-state branch per line.
-    if any(dcoh.dmc.peek(a) is not None for a in addrs):
+    if dcoh.dmc.residency(addrs)[0]:
         BULK_STATS.fallback("dmc-state")
         return None
 
-    group = _live_group(p) or _TrainGroup(key, t0, window.capacity)
+    channels = dev_mem.channels
+    nch = len(channels)
+    group = _live_group(p) or _TrainGroup(key, t0, window.capacity, nch)
 
     lcfg = t2.port.link.cfg
-    ser_data = lcfg.serialization_ns(REQ_BYTES + DATA_BYTES)
+    __, ser_data, __, __ = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
     issue_ns = core.cfg.issue_ns
     post_ns = core.cfg.nt_store_post_ns
     fabric_ns = t2.cfg.h2d_fabric_ns
     check_ns = t2.cfg.h2d_dmc_check_ns
+    h2d_touch = t2.bias.h2d_touch
+    wq_for = group.wq_for
 
-    K = len(addrs)
     completions = [0.0] * K
     results = [0.0] * K
     bg_end = 0.0
     c = t0
+    win_free, win_heap = group.win_free, group.win_heap
+    down_free, pending = group.down_free, group.pending
+    gi = group.count
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
             g = c if bg_end <= c else bg_end
-        else:
-            g = group.grant(t0)
-        gi = group.count
-        group.count += 1
+        elif win_free:              # window admission: a free slot now,
+            win_free -= 1
+            g = t0
+        else:                       # else the FIFO release hand-off
+            g = heappop(win_heap)[0]
         t = g + issue_ns
         t += post_ns
-        w = t if group.down_free <= t else group.down_free
-        t = w + ser_data
-        group.down_free = t
+        t = (t if down_free <= t else down_free) + ser_data
+        down_free = t
         c = t + prop                        # retires at the controller
         completions[k] = c
-        heapq.heappush(group.win_heap, (c, gi))
-        group.pending.append((c, gi, core._jittered,
-                              c - (g if serial else t0), results, k))
+        heappush(win_heap, (c, gi))
+        pending.append((c, gi, core, c - (g if serial else t0), results, k))
+        gi += 1
         # Background: the posted device-side write spawned at c.
-        t2.bias.h2d_touch(addr)
+        h2d_touch(addr)
         b = c + fabric_ns
         b += check_ns                       # DMC check: miss, no action
-        ch = dev_mem.channel_for(addr)
+        ch = channels[(addr // CACHELINE) % nch]
         ch.writes += 1
-        __, d_end = group.wq_for(ch).write(b)
+        __, d_end = wq_for(ch).write(b)
         if d_end > bg_end:
             bg_end = d_end
 
+    group.win_free, group.count, group.down_free = win_free, gi, down_free
     t2.h2d_writes += K
     link = t2.port.link
     link.messages += K
     link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
-    return _launch(p, group, addrs, completions, results, bg_end, serial)
+    kind = ("h2d-serial/" if serial else "h2d/") + op.value
+    return _launch(p, group, kind, addrs, completions, results, bg_end,
+                   serial)

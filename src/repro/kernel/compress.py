@@ -22,10 +22,14 @@ tests, and its output sizes drive the zpool accounting of
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import KernelError
 
 _MIN_MATCH = 4
 _MAX_OFFSET = 0xFFFF
+# Bytes compared per slice while a match extends.
+_STRIDE = 64
 
 
 def _write_count(out: bytearray, count: int) -> None:
@@ -51,36 +55,61 @@ def _read_count(data: bytes, pos: int, nibble: int) -> tuple[int, int]:
     return count, pos
 
 
-def lz_compress(data: bytes) -> bytes:
-    """Compress ``data``; ``lz_decompress`` inverts exactly."""
-    n = len(data)
-    out = bytearray()
-    if n == 0:
-        out.append(0)
-        return bytes(out)
+def _prefix_keys(data: bytes) -> list:
+    """Every 4-byte prefix of ``data`` packed little-endian into one int,
+    position by position, computed in one numpy pass.  The packing is
+    bijective, so equal keys mean equal prefixes and a candidate match
+    needs no re-check."""
+    a = np.frombuffer(data, dtype=np.uint8).astype(np.uint32)
+    return (a[:-3] | (a[1:-2] << 8) | (a[2:-1] << 16)
+            | (a[3:] << 24)).tolist()
 
-    # Positions of 4-byte prefixes seen so far (last occurrence wins).
-    # Keys are the prefix packed little-endian into one int: bijective
-    # with the 4 bytes, and no per-position bytes() allocation.
+
+def lz_compress(data: bytes) -> bytes:
+    """Compress ``data``; ``lz_decompress`` inverts exactly.
+
+    Greedy LZ77 over 4-byte prefixes: each position looks up the last
+    occurrence of its prefix (positions covered by a match are never
+    entered), and a match extends as far as the bytes agree.  The
+    prefix keys are computed for every position up front, and matches
+    extend by 64-byte slice compares before a byte-wise tail; both are
+    pure speedups, so the stream is the one a byte-at-a-time loop
+    emits."""
+    n = len(data)
+    if n < _MIN_MATCH:          # no prefix: one literals-only sequence
+        return bytes((n << 4,)) + bytes(data)
+    if type(data) is not bytes:
+        data = bytes(data)
+    keys = _prefix_keys(data)
+    # Positions of prefixes seen so far (last occurrence wins).
     table: dict[int, int] = {}
+    get = table.get
+    out = bytearray()
     anchor = 0  # start of pending literals
     i = 0
-    view = memoryview(data)
+    last = n - _MIN_MATCH
 
-    while i + _MIN_MATCH <= n:
-        key = (data[i] | (data[i + 1] << 8) | (data[i + 2] << 16)
-               | (data[i + 3] << 24))
-        candidate = table.get(key)
+    while i <= last:
+        key = keys[i]
+        candidate = get(key)
         table[key] = i
         if candidate is None or i - candidate > _MAX_OFFSET:
             i += 1
             continue
-        # Extend the match forward
+        # Extend the match forward: whole strides, then byte by byte
         match_len = _MIN_MATCH
         limit = n - i
-        while (match_len < limit
-               and data[candidate + match_len] == data[i + match_len]):
+        a = candidate + match_len
+        b = i + match_len
+        while (match_len + _STRIDE <= limit
+               and data[a:a + _STRIDE] == data[b:b + _STRIDE]):
+            match_len += _STRIDE
+            a += _STRIDE
+            b += _STRIDE
+        while match_len < limit and data[a] == data[b]:
             match_len += 1
+            a += 1
+            b += 1
         # Emit sequence: literals [anchor, i) + match
         lit_len = i - anchor
         token_lit = min(lit_len, 15)
@@ -88,7 +117,7 @@ def lz_compress(data: bytes) -> bytes:
         out.append((token_lit << 4) | token_match)
         if token_lit == 15:
             _write_count(out, lit_len)
-        out += view[anchor:i]
+        out += data[anchor:i]
         offset = i - candidate
         out += offset.to_bytes(2, "little")
         if token_match == 15:
@@ -102,12 +131,16 @@ def lz_compress(data: bytes) -> bytes:
     out.append(token_lit << 4)
     if token_lit == 15:
         _write_count(out, lit_len)
-    out += view[anchor:n]
+    out += data[anchor:n]
     return bytes(out)
 
 
 def lz_decompress(blob: bytes) -> bytes:
-    """Invert :func:`lz_compress`."""
+    """Invert :func:`lz_compress`.
+
+    A match that does not overlap its own output is one slice copy; an
+    overlapping one (offset < length) repeats its last ``offset`` bytes,
+    which is what a byte-wise copy produces."""
     out = bytearray()
     pos = 0
     n = len(blob)
@@ -123,15 +156,20 @@ def lz_decompress(blob: bytes) -> bytes:
             break  # terminal sequence carries no match
         if pos + 2 > n:
             raise KernelError("truncated LZ stream (offset)")
-        offset = int.from_bytes(blob[pos:pos + 2], "little")
+        offset = blob[pos] | (blob[pos + 1] << 8)
         pos += 2
         if offset == 0 or offset > len(out):
             raise KernelError(f"corrupt LZ offset {offset}")
         match_len, pos = _read_count(blob, pos, token & 0x0F)
         match_len += _MIN_MATCH
         start = len(out) - offset
-        for k in range(match_len):  # byte-wise: overlapping copies are legal
-            out.append(out[start + k])
+        if match_len <= offset:
+            out += out[start:start + match_len]
+        else:                   # overlapping: the period repeats
+            period = out[start:]
+            reps, rest = divmod(match_len, offset)
+            out += period * reps
+            out += period[:rest]
     return bytes(out)
 
 

@@ -143,21 +143,30 @@ _MISSING = object()
 WORK_CACHE = WorkCache()
 
 
+def _content(data: bytes) -> bytes:
+    """``data`` as an immutable, hashable key: a ``bytearray`` or
+    ``memoryview`` page is copied, ``bytes`` is used as is."""
+    return data if type(data) is bytes else bytes(data)
+
+
 def cached_compress(data: bytes) -> bytes:
     if not flags.get("workcache"):
         return lz_compress(data)
+    data = _content(data)
     return WORK_CACHE.get("compress", (data,), lambda: lz_compress(data))
 
 
 def cached_decompress(blob: bytes) -> bytes:
     if not flags.get("workcache"):
         return lz_decompress(blob)
+    blob = _content(blob)
     return WORK_CACHE.get("decompress", (blob,), lambda: lz_decompress(blob))
 
 
 def cached_xxhash32(data: bytes, seed: int = 0) -> int:
     if not flags.get("workcache"):
         return xxhash32(data, seed)
+    data = _content(data)
     return WORK_CACHE.get("hash", (data, seed),
                           lambda: xxhash32(data, seed))
 
@@ -168,4 +177,4 @@ def cached_compare(a: bytes, b: bytes,
     comparator's exact semantics)."""
     if not flags.get("workcache"):
         return compute()
-    return WORK_CACHE.get("compare", (a, b), compute)
+    return WORK_CACHE.get("compare", (_content(a), _content(b)), compute)

@@ -24,30 +24,36 @@ def _rotl(value: int, count: int) -> int:
     return ((value << count) | (value >> (32 - count))) & _MASK
 
 
-def _round(acc: int, lane: int) -> int:
-    acc = (acc + lane * _PRIME2) & _MASK
-    return (_rotl(acc, 13) * _PRIME1) & _MASK
-
-
 def xxhash32(data: bytes, seed: int = 0) -> int:
-    """XXH32 of ``data`` with ``seed``; returns an unsigned 32-bit int."""
+    """XXH32 of ``data`` with ``seed``; returns an unsigned 32-bit int.
+
+    Every 16-byte stripe is unpacked by one ``struct`` call up front,
+    and the four lanes' rounds are inlined.  A round only needs its
+    input reduced mod 2**32 before the rotate: the rotate's high spill
+    and the product's high bits vanish at the next reduction, so each
+    accumulator is masked once per round and once at the end."""
     seed &= _MASK
     length = len(data)
     index = 0
 
     if length >= 16:
+        p1, p2, mask = _PRIME1, _PRIME2, _MASK
         v1 = (seed + _PRIME1 + _PRIME2) & _MASK
         v2 = (seed + _PRIME2) & _MASK
         v3 = seed
         v4 = (seed - _PRIME1) & _MASK
-        limit = length - 16
-        while index <= limit:
-            lane1, lane2, lane3, lane4 = struct.unpack_from("<IIII", data, index)
-            v1 = _round(v1, lane1)
-            v2 = _round(v2, lane2)
-            v3 = _round(v3, lane3)
-            v4 = _round(v4, lane4)
-            index += 16
+        stripes = length // 16
+        lanes = iter(struct.unpack_from(f"<{4 * stripes}I", data))
+        for lane1, lane2, lane3, lane4 in zip(lanes, lanes, lanes, lanes):
+            v1 = (v1 + lane1 * p2) & mask
+            v1 = ((v1 << 13) | (v1 >> 19)) * p1
+            v2 = (v2 + lane2 * p2) & mask
+            v2 = ((v2 << 13) | (v2 >> 19)) * p1
+            v3 = (v3 + lane3 * p2) & mask
+            v3 = ((v3 << 13) | (v3 >> 19)) * p1
+            v4 = (v4 + lane4 * p2) & mask
+            v4 = ((v4 << 13) | (v4 >> 19)) * p1
+        index = 16 * stripes
         acc = (_rotl(v1, 1) + _rotl(v2, 7) + _rotl(v3, 12) + _rotl(v4, 18)) & _MASK
     else:
         acc = (seed + _PRIME5) & _MASK

@@ -18,7 +18,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Optional
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Optional, Tuple)
 
 from repro.errors import CoherenceError, ConfigError
 from repro.mem.address import line_base
@@ -102,8 +103,8 @@ class SetAssociativeCache:
 
     __slots__ = ("name", "size_bytes", "ways", "num_sets", "_sets",
                  "hits", "misses", "evictions", "writebacks",
-                 "poison_sink", "poison_evictions", "sanitizer",
-                 "race_detector")
+                 "poison_sink", "poison_evictions", "poison_seen",
+                 "sanitizer", "race_detector")
 
     def __init__(self, name: str, size_bytes: int, ways: int):
         if size_bytes <= 0 or ways <= 0:
@@ -128,6 +129,10 @@ class SetAssociativeCache:
         # the cache dirty, so poison propagates back to the memory image.
         self.poison_sink: Optional[Callable[[int], None]] = None
         self.poison_evictions = 0
+        # Set once any line of this cache has been poisoned (only
+        # ``poison_addr`` poisons a line), so a caller can skip a walk
+        # for poisoned lines while it is False.
+        self.poison_seen = False
         # Opt-in validation hooks (repro.lint): both stay None unless a
         # sanitizer watches this cache, costing one test per mutation.
         self.sanitizer: Optional["CoherenceSanitizer"] = None
@@ -161,6 +166,22 @@ class SetAssociativeCache:
         """Lookup without LRU or statistics side effects."""
         return self._sets.get((addr // CACHELINE) % self.num_sets,
                               _NO_LINES).get(addr & _LINE_MASK)
+
+    def residency(self, addrs: Iterable[int]) -> Tuple[int, bool]:
+        """How many of ``addrs`` are resident, and whether any resident
+        one is poisoned: :meth:`peek` over many addresses, without LRU
+        or statistics side effects."""
+        sets, num_sets = self._sets, self.num_sets
+        resident = 0
+        poisoned = False
+        for addr in addrs:
+            line_set = sets.get((addr // CACHELINE) % num_sets)
+            if line_set is not None:
+                line = line_set.get(addr & _LINE_MASK)
+                if line is not None:
+                    resident += 1
+                    poisoned = poisoned or line._poisoned
+        return resident, poisoned
 
     def state_of(self, addr: int) -> LineState:
         line = self.peek(addr)
@@ -261,6 +282,7 @@ class SetAssociativeCache:
             return False
         self._note_mutation(line_base(addr))
         line.poisoned = True
+        self.poison_seen = True
         return True
 
     def clear_poison(self, addr: int) -> bool:

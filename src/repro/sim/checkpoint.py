@@ -92,8 +92,9 @@ CHECKPOINT_STATS = CheckpointStats()
 # Persisted-snapshot header: refuse to restore a payload written under a
 # different schema instead of failing somewhere deep inside pickle.
 # Bump it whenever a pickled engine class changes its slots (/2: the
-# timer wheel's far levels became one far heap).
-_FILE_MAGIC = b"repro-checkpoint/2\n"
+# timer wheel's far levels became one far heap; /3: caches gained
+# ``poison_seen``).
+_FILE_MAGIC = b"repro-checkpoint/3\n"
 
 
 def _ambient_state() -> Dict[str, Any]:

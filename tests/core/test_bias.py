@@ -31,6 +31,15 @@ def test_regions_switch_independently():
     assert ctl.mode_of_region("r1") is BiasMode.HOST
 
 
+def test_mode_of_span_needs_one_region():
+    ctl = make_controller()
+    ctl.force_device_bias("r1")
+    assert ctl.mode_of_span(0, kib(4) - 64) is BiasMode.HOST
+    assert ctl.mode_of_span(kib(4), kib(8) - 64) is BiasMode.DEVICE
+    assert ctl.mode_of_span(0, kib(4)) is None           # crosses r0 -> r1
+    assert ctl.mode_of_span(kib(8), kib(8) + 64) is None  # outside both
+
+
 def test_unknown_region_rejected():
     ctl = make_controller()
     with pytest.raises(DeviceError):

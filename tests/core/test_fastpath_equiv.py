@@ -2,8 +2,9 @@
 
 Every scenario runs the identical workload twice — bulk disabled, then
 enabled — on freshly seeded platforms, and the results must compare
-equal: summaries, reports, final simulation timestamps and RNG states
-are the same IEEE doubles and draws.  Serial trains are diffed against
+equal: summaries, reports, final simulation timestamps, RNG states and
+every cache's contents and hit/miss/eviction/writeback counters are the
+same IEEE doubles, draws and counts.  Serial trains are diffed against
 the per-line dependent-access loop on twin platforms over every train
 family.  Armed faults and sanitizers must force the per-line path
 (counted in the fallback telemetry), and the CLI experiments must emit
@@ -32,6 +33,7 @@ from repro.core.transfer import TransferBench
 from repro.faults import FaultPlan
 from repro.mem.coherence import LineState
 from repro.sim.bulk import BULK_STATS
+from repro.sim.rng import DeterministicRng
 from repro.units import PAGE_SIZE
 
 REPO = Path(__file__).resolve().parents[2]
@@ -54,7 +56,9 @@ def _both(fn):
 
 
 def _cache(cache):
-    return [(line.addr, line.state, line.poisoned) for line in cache.lines()]
+    """Resident lines in walk order, then the four counters."""
+    return ([(line.addr, line.state, line.poisoned) for line in cache.lines()],
+            (cache.hits, cache.misses, cache.evictions, cache.writebacks))
 
 
 def _fingerprint(p):
@@ -166,13 +170,92 @@ def test_offload_flows_identical_bulk_off_and_on():
             p.sim.run_process(engine.hash_page("cxl", page)),
             p.sim.run_process(engine.compare_pages("cxl", page, page)),
         ]
-        return reports, p.sim.now
+        return reports, _fingerprint(p)
 
     off, on, stats = _both(run)
     assert off == on
     # The offload flows exercise both d2h and d2d trains.
     assert any(k.startswith("d2h/") for k in stats["batches"]), stats
     assert any(k.startswith("d2d/") for k in stats["batches"]), stats
+
+
+@pytest.mark.parametrize("lines", [fastpath.VECTOR_DRAWS - 1,
+                                   fastpath.VECTOR_DRAWS, 64])
+def test_draws_identical_either_side_of_the_vector_crossover(lines,
+                                                             monkeypatch):
+    """Groups below the crossover draw scalar, groups at or above it in
+    one vector; both match the per-line draws and RNG state."""
+    vector_sizes = []
+    jitter_array = DeterministicRng.jitter_array
+
+    def spy(self, base, rel_std):
+        vector_sizes.append(len(base))
+        return jitter_array(self, base, rel_std)
+
+    monkeypatch.setattr(DeterministicRng, "jitter_array", spy)
+
+    def run():
+        p = Platform(seed=12)
+        mb = Microbench(p, reps=3, accesses=lines)
+        return ([mb.d2h(D2HOp.NC_READ, llc_hit=False),
+                 mb.d2d(D2HOp.CS_READ, BiasMode.HOST, dmc_hit=False),
+                 mb.h2d(HostOp.NT_STORE, "t2")], _fingerprint(p))
+
+    off, on, stats = _both(run)
+    assert off == on
+    assert stats["total_batches"] > 0
+    if lines < fastpath.VECTOR_DRAWS:
+        assert vector_sizes == []
+    else:
+        assert vector_sizes and min(vector_sizes) >= fastpath.VECTOR_DRAWS
+
+
+def test_poisoned_dmc_line_refuses_fill_trains():
+    """A poisoned DMC line a fill could evict demotes fill trains; trains
+    that never fill the DMC still run."""
+    p = Platform(seed=6)
+    dcoh, lsu = p.t2.dcoh, p.t2.lsu
+    resident = p.fresh_dev_lines(1)[0]
+    dcoh._fill_dmc(resident, LineState.MODIFIED)
+
+    def d2d_train(op):
+        return fastpath.try_lsu_d2d_train(p, lsu, op, p.fresh_dev_lines(8))
+
+    BULK_STATS.reset()
+    p.sim.run_process(d2d_train(D2HOp.CS_READ))      # clean: it trains
+    assert BULK_STATS.fallbacks == {}
+    assert not dcoh.dmc.poison_seen
+
+    dcoh._fill_dmc(resident, LineState.MODIFIED)
+    assert dcoh.dmc.poison_addr(resident)
+    assert dcoh.dmc.poison_seen
+    assert d2d_train(D2HOp.CS_READ) is None
+    assert d2d_train(D2HOp.CO_WRITE) is None
+    assert BULK_STATS.fallbacks == {"poison": 2}
+    p.sim.run_process(d2d_train(D2HOp.NC_READ))      # no fill: it trains
+    assert BULK_STATS.fallbacks == {"poison": 2}
+
+
+def test_d2d_trains_across_bias_regions():
+    """A train inside one region takes its mode at once; one crossing
+    regions asks line by line, and trains only if the modes agree."""
+    p = Platform(seed=3)
+    t2, lsu = p.t2, p.t2.lsu
+    end = t2.regions.get("devmem").end
+    extra = t2.carve_region("extra", 4096)
+
+    def d2d_train(addrs):
+        return fastpath.try_lsu_d2d_train(p, lsu, D2HOp.NC_READ, addrs)
+
+    BULK_STATS.reset()
+    p.sim.run_process(d2d_train([end - 128, end - 64, extra.base]))
+    t2.bias._mode["extra"] = BiasMode.DEVICE
+    p.sim.run_process(d2d_train([extra.base + 64, extra.base + 128]))
+    assert d2d_train([end - 256, end - 192, extra.base + 192]) is None
+    assert d2d_train([extra.end, extra.end + 64]) is None
+    stats = BULK_STATS.snapshot()
+    assert stats["batches"] == {"d2d/nc-rd": 2}, stats
+    assert stats["fallbacks"] == {"mixed-bias": 1, "bias-error": 1}, stats
 
 
 # ---------------------------------------------------------------------------

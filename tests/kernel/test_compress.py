@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.errors import KernelError
 from repro.kernel.compress import compression_ratio, lz_compress, lz_decompress
 from repro.units import PAGE_SIZE
+from tests.kernel.codec_oracle import reference_compress
 
 
 @pytest.mark.parametrize("data", [
@@ -94,57 +95,8 @@ def test_property_repetitive_text_compresses(text):
 
 
 # ---------------------------------------------------------------------------
-# The int-prefix-key hot loop is a pure representation change
-
-
-def _reference_compress(data: bytes) -> bytes:
-    """The hot loop with its original ``bytes`` prefix keys.
-
-    ``lz_compress`` packs each 4-byte prefix little-endian into one int
-    (bijective with the bytes, no per-position allocation); the encoded
-    stream must be byte-identical to this reference."""
-    from repro.kernel.compress import _MAX_OFFSET, _MIN_MATCH, _write_count
-
-    n = len(data)
-    out = bytearray()
-    if n == 0:
-        out.append(0)
-        return bytes(out)
-    table: dict = {}
-    anchor = 0
-    i = 0
-    view = memoryview(data)
-    while i + _MIN_MATCH <= n:
-        key = bytes(view[i:i + _MIN_MATCH])
-        candidate = table.get(key)
-        table[key] = i
-        if candidate is None or i - candidate > _MAX_OFFSET:
-            i += 1
-            continue
-        match_len = _MIN_MATCH
-        limit = n - i
-        while (match_len < limit
-               and data[candidate + match_len] == data[i + match_len]):
-            match_len += 1
-        lit_len = i - anchor
-        token_lit = min(lit_len, 15)
-        token_match = min(match_len - _MIN_MATCH, 15)
-        out.append((token_lit << 4) | token_match)
-        if token_lit == 15:
-            _write_count(out, lit_len)
-        out += view[anchor:i]
-        out += (i - candidate).to_bytes(2, "little")
-        if token_match == 15:
-            _write_count(out, match_len - _MIN_MATCH)
-        i += match_len
-        anchor = i
-    lit_len = n - anchor
-    token_lit = min(lit_len, 15)
-    out.append(token_lit << 4)
-    if token_lit == 15:
-        _write_count(out, lit_len)
-    out += view[anchor:n]
-    return bytes(out)
+# The int-prefix-key hot loop is a pure representation change: the stream
+# equals the ``bytes``-keyed reference (tests/kernel/codec_oracle.py)
 
 
 @pytest.mark.parametrize("data", [
@@ -157,17 +109,17 @@ def _reference_compress(data: bytes) -> bytes:
     bytes(range(256)) * 16,
 ], ids=["empty", "short", "run", "period4", "zero-page", "text", "sequence"])
 def test_int_key_stream_matches_bytes_key_reference(data):
-    assert lz_compress(data) == _reference_compress(data)
+    assert lz_compress(data) == reference_compress(data)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.binary(max_size=3000))
 def test_property_int_key_stream_matches_reference(data):
-    assert lz_compress(data) == _reference_compress(data)
+    assert lz_compress(data) == reference_compress(data)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.text(alphabet="ab", min_size=50, max_size=800))
 def test_property_int_key_matches_on_low_entropy(text):
     data = text.encode()
-    assert lz_compress(data) == _reference_compress(data)
+    assert lz_compress(data) == reference_compress(data)

@@ -114,6 +114,42 @@ def test_cached_helpers_match_direct(enabled):
         assert WORK_CACHE.hits == WORK_CACHE.misses == 0
 
 
+@pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+def test_cached_helpers_accept_bytearray_pages(enabled):
+    """A mutable page is keyed by its content, not its identity."""
+    with flags.override(workcache=enabled):
+        for page in PAGES:
+            blob = cached_compress(bytearray(page))
+            assert blob == lz_compress(page)
+            assert cached_decompress(bytearray(blob)) == page
+            assert cached_xxhash32(bytearray(page), seed=3) == xxhash32(
+                page, seed=3)
+            assert cached_compare(bytearray(page), bytearray(page),
+                                  lambda: -1) == -1
+        # Content keys: the bytes page hits what the bytearray stored.
+        assert cached_compress(PAGES[1]) == lz_compress(PAGES[1])
+    if enabled:
+        assert WORK_CACHE.hits > 0
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+@pytest.mark.parametrize("transport", ["cpu", "cxl"])
+def test_zswap_round_trips_a_bytearray_page(enabled, transport):
+    from repro.core.offload import OffloadEngine
+    from repro.core.platform import Platform
+    from repro.kernel.swapdev import SwapDevice
+    from repro.kernel.zswap import Zswap
+
+    p = Platform(seed=1)
+    zswap = Zswap(OffloadEngine(p, functional=True), SwapDevice(p.sim),
+                  transport, managed_pages=64)
+    page = bytearray(PAGES[1])
+    with flags.override(workcache=enabled):
+        handle, __ = p.sim.run_process(zswap.store(page))
+        data, hit = p.sim.run_process(zswap.load(handle))
+    assert data == page and hit
+
+
 def test_seed_is_part_of_the_hash_key():
     with flags.override(workcache=True):
         assert cached_xxhash32(PAGES[1], seed=0) != cached_xxhash32(

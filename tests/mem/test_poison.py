@@ -106,6 +106,32 @@ def test_cache_clear_poison(sim):
     assert not cache.is_poisoned(0x0)
 
 
+def test_cache_poison_seen_flag(sim):
+    """``poison_seen`` turns on with the first poisoned line and stays on;
+    a poison of an absent line leaves it off."""
+    cache = SetAssociativeCache("t", 64 * 4, 1)
+    cache.insert(0x0, LineState.MODIFIED)
+    assert not cache.poison_addr(0x40)
+    assert not cache.poison_seen
+    cache.poison_addr(0x0)
+    assert cache.poison_seen
+    cache.clear_poison(0x0)
+    assert cache.poison_seen
+
+
+def test_cache_residency_counts_without_side_effects(sim):
+    cache = SetAssociativeCache("t", 64 * 8, 2)
+    cache.insert(0x0, LineState.SHARED)
+    cache.insert(0x40, LineState.MODIFIED)
+    addrs = [0x0, 0x40, 0x80, 0x1000]
+    assert cache.residency(addrs) == (2, False)
+    cache.poison_addr(0x40)
+    assert cache.residency(addrs) == (2, True)
+    assert cache.residency([0x80]) == (0, False)
+    assert (cache.hits, cache.misses) == (0, 0)
+    assert [line.addr for line in cache.lines()] == [0x0, 0x40]
+
+
 # ---------------------------------------------------------------------------
 # DCOH: detection at consumption, scrub on write, viral containment
 # ---------------------------------------------------------------------------

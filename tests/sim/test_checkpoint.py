@@ -186,17 +186,17 @@ class TestSaveLoad:
             Checkpoint.load(str(path))
 
     def test_previous_format_is_rejected(self, tmp_path):
-        """A file from before the far-heap wheel (header ``/1``) carries
-        a pickled ``TimerWheel`` with slots that no longer exist; it
-        must fail at the header, not deep inside unpickling."""
+        """A file from before the ``poison_seen`` cache slot (header
+        ``/2``) carries pickled caches without it; it must fail at the
+        header, not later when a train reads the missing slot."""
         sim = Simulator()
         sim.run()
         path = tmp_path / "old.ckpt"
         snapshot(sim, label="old").save(str(path))
         body = path.read_bytes()
-        assert body.startswith(b"repro-checkpoint/2\n")
-        path.write_bytes(b"repro-checkpoint/1\n"
-                         + body[len(b"repro-checkpoint/2\n"):])
+        assert body.startswith(b"repro-checkpoint/3\n")
+        path.write_bytes(b"repro-checkpoint/2\n"
+                         + body[len(b"repro-checkpoint/3\n"):])
         with pytest.raises(CheckpointError, match="magic"):
             Checkpoint.load(str(path))
 
