@@ -19,7 +19,7 @@ ld — the ~20-50 LoC / near-zero-cycle story of SVII.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Set
+from typing import Any, Dict, Generator, Optional, Set
 
 from repro.core.platform import Platform
 from repro.core.requests import D2HOp, HostOp
@@ -183,17 +183,27 @@ class Doorbell:
 
     # -- device side -------------------------------------------------------------
 
-    def device_poll(self) -> Generator[Any, Any, Command]:
+    def device_poll(self,
+                    tag: Optional[int] = None) -> Generator[Any, Any, Command]:
         """Timed device-side poll: CS-read the command lines until a
         command is visible, then return it.
 
         CS-read keeps the lines in DMC, so an idle poll iteration costs
         only a DMC hit (SVI-A explains choosing CS-read over NC-read).
+        A handler that submitted command ``tag`` itself passes it, and
+        the poll serves exactly that command, never another handler's
+        that happens to be queued first.
         """
         lsu = self.p.t2.lsu
         while True:
             for addr in self._cmd_lines:
                 yield from lsu.d2d(D2HOp.CS_READ, addr)
+            if tag is not None:
+                mine = self._commands.remove_where(lambda c: c.tag == tag)
+                if not mine:
+                    raise OffloadError(
+                        f"{self.name}: tag {tag} is not queued")
+                return mine[0]
             got, command = self._commands.try_get()
             if got:
                 return command

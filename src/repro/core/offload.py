@@ -294,11 +294,12 @@ class OffloadEngine:
 
         # Step 1: host nt-sts the command (the only host work besides wake).
         t0 = sim.now
-        yield from self.doorbell.submit(Command("compress", nbytes=nbytes))
+        tag = yield from self.doorbell.submit(
+            Command("compress", nbytes=nbytes))
         host_cpu += sim.now - t0
 
         # Device: one poll sweep notices the fresh command.
-        cmd = yield from self.doorbell.device_poll()
+        cmd = yield from self.doorbell.device_poll(tag)
 
         # Steps 2+4: D2H NC-read pull feeding the streaming compressor,
         # genuinely overlapped: the IP starts on the head of the stream
@@ -440,9 +441,10 @@ class OffloadEngine:
         start = sim.now
         host_cpu = 0.0
         t0 = sim.now
-        yield from self.doorbell.submit(Command("decompress", nbytes=in_bytes))
+        tag = yield from self.doorbell.submit(
+            Command("decompress", nbytes=in_bytes))
         host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll()
+        cmd = yield from self.doorbell.device_poll(tag)
 
         pull_addrs = self._lines(in_bytes, host=False)
         t0 = sim.now
@@ -553,9 +555,10 @@ class OffloadEngine:
         start = sim.now
         host_cpu = 0.0
         t0 = sim.now
-        yield from self.doorbell.submit(Command("hash", nbytes=nbytes))
+        tag = yield from self.doorbell.submit(
+            Command("hash", nbytes=nbytes))
         host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll()
+        cmd = yield from self.doorbell.device_poll(tag)
         transfer_ns = yield from self._lsu_burst(
             D2HOp.NC_READ, self._lines(nbytes, host=True), d2d=False)
         t0 = sim.now
@@ -609,9 +612,10 @@ class OffloadEngine:
         start = sim.now
         host_cpu = 0.0
         t0 = sim.now
-        yield from self.doorbell.submit(Command("compare", nbytes=volume))
+        tag = yield from self.doorbell.submit(
+            Command("compare", nbytes=volume))
         host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll()
+        cmd = yield from self.doorbell.device_poll(tag)
         t0 = sim.now
         xfer_proc = sim.spawn(self._lsu_burst(
             D2HOp.NC_READ, self._lines(volume, host=True), d2d=False))

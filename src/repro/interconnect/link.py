@@ -8,7 +8,7 @@ from typing import Any, Generator
 from repro.config import LinkConfig
 from repro.errors import LinkError
 from repro.faults import NO_FAULTS
-from repro.sim.engine import Simulator, Timeout, WakeAt
+from repro.sim.engine import Simulator, Timeout
 from repro.sim.resources import Resource
 
 # RAS timing (CXL 3.0 §6.2: link-layer retry is a NAK + replay from the
@@ -67,40 +67,6 @@ class Link:
             yield from self._ras_gate(direction, ser)
         yield from self._wires[direction].using(ser)
         yield Timeout(self.cfg.propagation_ns)
-
-    def send_bulk(self, direction: Direction, payload_bytes: int,
-                  count: int) -> Generator[Any, Any, None]:
-        """Deliver ``count`` equal messages back-to-back from one sender.
-
-        Bit-exact to a sequential per-line loop of :meth:`send` when the
-        caller is the *sole user* of this direction's wire for the whole
-        batch: each per-line iteration advances the clock by
-        ``t += ser; t += propagation`` (idle wire, immediate grant), and
-        this method performs the identical addition chain before one
-        :class:`~repro.sim.engine.WakeAt`.  RAS state (dead link, armed
-        faults, retrain window) automatically degrades to the per-line
-        path so fault semantics are never batched away.
-        """
-        if count <= 0:
-            return
-        if self.dead or self.faults.active or self._retrain_until:
-            for _ in range(count):  # reprolint: disable=PERF402 ras fallback
-                yield from self.send(direction, payload_bytes)
-            return
-        self.messages += count
-        self.bytes_moved += payload_bytes * count
-        ser = self.cfg.serialization_ns(payload_bytes)
-        prop = self.cfg.propagation_ns
-        wire = self._wires[direction]
-        yield wire.acquire()
-        try:
-            end = self.sim.now
-            for _ in range(count):
-                end += ser
-                end += prop
-            yield WakeAt(end)
-        finally:
-            wire.release()
 
     def _ras_gate(self, direction: Direction,
                   ser: float) -> Generator[Any, Any, None]:

@@ -46,10 +46,7 @@ def check_perf401(module: LintModule) -> Iterator[Finding]:
             )
 
 
-_PER_LINE_CHARGES = {
-    "using": "`Resource.using_bulk(cost, count)` or a fastpath train",
-    "send": "`Link.send_bulk(direction, payload, count)`",
-}
+_PER_LINE_CHARGES = ("using", "send")
 
 
 def check_perf402(module: LintModule) -> Iterator[Finding]:
@@ -57,9 +54,9 @@ def check_perf402(module: LintModule) -> Iterator[Finding]:
 
     A loop that ``yield from``s a single-grant charge (``Resource.using``,
     ``Link.send``) once per iteration walks the full scheduler once per
-    line — the shape the bulk fast-forward layer exists to replace.  Use
-    the batched API, or hand the stream to
-    :mod:`repro.core.fastpath`.  Loops that *must* stay per-line (fault
+    line — the shape the bulk fast-forward layer exists to replace.  Hand
+    the stream to a :mod:`repro.core.fastpath` train.  Loops that *must*
+    stay per-line (fault
     paths, contended FIFOs whose holders interleave) should carry
     ``# reprolint: disable=PERF402`` on the loop line with a comment
     saying why.
@@ -81,8 +78,8 @@ def check_perf402(module: LintModule) -> Iterator[Finding]:
             yield Finding(
                 "PERF402", module.path, node.lineno, node.col_offset,
                 f"loop charges `{owner}.{attr}(...)` once per iteration; "
-                f"batch it with {_PER_LINE_CHARGES[attr]}, or suppress "
-                "with a comment if per-line interleaving is load-bearing",
+                "use a `repro.core.fastpath` train, or suppress with a "
+                "comment if per-line interleaving is load-bearing",
             )
 
 

@@ -24,7 +24,7 @@ from repro.config import DramConfig
 from repro.errors import ConfigError, PoisonError
 from repro.faults import NO_FAULTS
 from repro.mem.address import line_base
-from repro.sim.engine import Simulator, Timeout, WakeAt
+from repro.sim.engine import Simulator, Timeout
 from repro.sim.resources import Resource
 from repro.units import CACHELINE
 
@@ -77,77 +77,6 @@ class MemoryChannel:
     def _drain_one(self) -> Generator[Any, Any, None]:
         yield from self._drain.using(self.cfg.drain_ns_per_line())
         self._wq.release()
-
-    # -- bulk fast-forward (docs/PERFORMANCE.md) ----------------------------
-
-    def read_bulk(self, count: int) -> Generator[Any, Any, float]:
-        """``count`` back-to-back :meth:`read_line` calls from one sole
-        sequential reader, collapsed into one event.
-
-        Bit-exact contract: an idle channel grants the read datapath
-        immediately, so each per-line iteration advances the clock by
-        ``t += bandwidth_ns; t += read_ns``; this performs the identical
-        addition chain.  Returns the total elapsed time.
-        """
-        if count <= 0:
-            return 0.0
-        self.reads += count
-        start = self.sim.now
-        bw_ns = CACHELINE / self.cfg.bytes_per_ns
-        read_ns = self.cfg.read_ns
-        yield self._read_bw.acquire()
-        try:
-            end = start
-            for _ in range(count):
-                end += bw_ns
-                end += read_ns
-            yield WakeAt(end)
-        finally:
-            self._read_bw.release()
-        return self.sim.now - start
-
-    def write_bulk(self, count: int) -> Generator[Any, Any, float]:
-        """``count`` back-to-back posted writes from one sole sequential
-        writer, collapsed into one foreground event plus one background
-        drain ghost.
-
-        Preconditions (the caller's homogeneity check): the write queue
-        and drain engine are idle at entry, and nothing else touches this
-        channel until the background horizon — the time the last queued
-        line would have drained — has passed.  Within that contract the
-        recurrence below reproduces the per-line floats exactly:
-        enqueue ``k`` is granted at its arrival while the queue has room,
-        otherwise at the drain completion of write ``k - capacity``
-        (FIFO slot hand-off carries the release timestamp, no
-        arithmetic); each drain ends at ``max(enqueue_end, prev_drain_end)
-        + drain_ns``.  Returns the foreground (issuer-observed) elapsed
-        time; a ghost process holds the simulation clock until the final
-        drain so end-of-run timestamps match the per-line path.
-        """
-        if count <= 0:
-            return 0.0
-        self.writes += count
-        cap = self.cfg.write_queue_entries
-        enq = self.cfg.write_enqueue_ns
-        drain = self.cfg.drain_ns_per_line()
-        start = self.sim.now
-        e = start                 # enqueue-complete time of the previous write
-        d_end = start             # drain-complete time of the previous write
-        d_ends: list[float] = []
-        for k in range(count):
-            g = e if k < cap else d_ends[k - cap]
-            e = g + enq
-            d_end = (e if d_end <= e else d_end) + drain
-            d_ends.append(d_end)
-        if d_end > e:
-            self.sim.spawn(self._bulk_drain_ghost(d_end),
-                           f"{self.name}.bulkdrain")
-        yield WakeAt(e)
-        return self.sim.now - start
-
-    def _bulk_drain_ghost(self, until: float) -> Generator[Any, Any, None]:
-        """Keep the clock alive until the batched drains would finish."""
-        yield WakeAt(until)
 
     @property
     def queued_writes(self) -> int:

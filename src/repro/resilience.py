@@ -21,9 +21,10 @@ hedged requests (:meth:`ResiliencePolicy.offload_op`)
     every policy-routed offload races the cxl attempt against a cpu
     backup fired after a hedge delay derived from the *observed* cxl
     completion P99 (streaming estimator; a floor covers the cold
-    start).  First completion wins; the losing timer is cancelled
-    through the timer wheel, and an abandoned primary still reports its
-    outcome to the breaker when it eventually resolves.
+    start).  First completion wins; the losing timer is cancelled (an
+    O(1) tombstone in the engine's deadline buckets), and an abandoned
+    primary still reports its outcome to the breaker when it eventually
+    resolves.
 
 :class:`AdmissionController`
     per-tenant QoS load shedding.  While the breaker is not CLOSED
@@ -546,7 +547,7 @@ class ResiliencePolicy:
         index, value = yield sim.any_of([primary.done, hedge.event])
         if index == 0:
             # Primary resolved inside the hedge window: cancel the
-            # loser through the timer wheel (O(1) tombstone).
+            # loser (an O(1) tombstone in its deadline bucket).
             hedge.cancel()
             if not isinstance(value, _OpFailed):
                 return value

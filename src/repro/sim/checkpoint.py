@@ -12,7 +12,7 @@ CXL-DMSim and Cohet lean on for full-system CXL campaigns).
 A :func:`snapshot` captures, in one pickle payload:
 
 * the **engine** — clock, global sequence counter, and any pending
-  timer-wheel / delta entries, so post-restore scheduling
+  deadline-bucket / delta entries, so post-restore scheduling
   continues with exactly the ``(time, seq)`` ordering the original
   would have produced (tombstoned cancelled timers included: they must
   still pop at their slot for the clock trajectory to match);
@@ -93,8 +93,8 @@ CHECKPOINT_STATS = CheckpointStats()
 # different schema instead of failing somewhere deep inside pickle.
 # Bump it whenever a pickled engine class changes its slots (/2: the
 # timer wheel's far levels became one far heap; /3: caches gained
-# ``poison_seen``).
-_FILE_MAGIC = b"repro-checkpoint/3\n"
+# ``poison_seen``; /4: the timer wheel became one bucket per deadline).
+_FILE_MAGIC = b"repro-checkpoint/4\n"
 
 
 def _ambient_state() -> Dict[str, Any]:

@@ -1,15 +1,17 @@
 """The discrete-event engine: simulator clock, events, and processes.
 
-Hot-path design (see docs/PERFORMANCE.md): future work goes on a
-timer wheel (:mod:`repro.sim.timers`); zero-delay work —
-every ``call_soon``, event trigger, and process hand-off — bypasses it
-and lands on a FIFO *delta queue* drained at the current timestamp.
-Both queues share one monotone sequence counter and :meth:`Simulator.run`
-merges them by it, so the documented contract — *equal timestamps fire
-in scheduling order* — is preserved exactly; the delta queue is a
-faster carrier for the same order, not a new ordering domain
-(``tests/sim/test_engine_order.py`` replays it against a plain
-``(time, seq)`` heap oracle).
+Hot-path design (see docs/PERFORMANCE.md): future work goes into one
+FIFO bucket per pending deadline, with a binary heap of the deadlines
+on top; work due now — every ``call_soon``, event trigger, and process
+hand-off — bypasses them and lands on a FIFO *delta queue* drained at
+the current timestamp.  Every entry carries a number from one monotone
+sequence counter, a bucket fills in that order, and a bucket moves
+whole onto the (then empty) delta queue when the clock reaches its
+deadline, so the documented contract — *equal timestamps fire in
+scheduling order* — holds by construction
+(``tests/sim/test_engine_order.py`` replays the engine against a plain
+``(time, seq)`` heap oracle).  Cancellable timers and the timer
+counters live in :mod:`repro.sim.timers`.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Callable, Deque, Generator, Iterable, Optional
 
 from collections import deque
+from heapq import heapify as _heapify
+from heapq import heappop as _heappop
 from heapq import heappush as _heappush
 
 from repro.errors import SimulationError
-from repro.sim.timers import NEAR_SPAN_NS, WHEEL_STATS, Timer, TimerWheel
+from repro.sim.timers import WHEEL_STATS, Timer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.races import RaceDetector
@@ -306,35 +310,26 @@ class Process:
             # Dispatch inline, hottest commands first: a Timeout is the
             # single most common yield across every model, a plain Event
             # the second; exact-type tests beat isinstance chains and the
-            # slow path keeps subclasses working.  The wheel insert is
-            # flattened right here — dict hit + append near, one heappush
-            # far — since process timeouts dominate every model's
-            # schedule traffic.
+            # slow path keeps subclasses working.  The Timeout push
+            # (Simulator._push) is flattened right here, since process
+            # timeouts dominate every model's schedule traffic.
             cls = command.__class__
             if cls is Timeout:
                 sim = self.sim
-                delay = command.delay
-                if delay > 0.0:
-                    wheel = sim._wheel
-                    t = sim._now + delay
-                    sim._seq = seq = sim._seq + 1
-                    if delay < NEAR_SPAN_NS:
-                        near = wheel.near
-                        b = near.get(t)
-                        if b is None:
-                            near[t] = [(t, seq, self._step, _NONE_ARGS)]
-                            _heappush(wheel.near_times, t)
-                        else:
-                            b.append((t, seq, self._step, _NONE_ARGS))
+                sim._seq = seq = sim._seq + 1
+                t = sim._now + command.delay
+                if t != sim._now:
+                    bucket = sim._due.get(t)
+                    if bucket is None:
+                        sim._due[t] = [(seq, self._step, _NONE_ARGS)]
+                        _heappush(sim._times, t)
                     else:
-                        _heappush(wheel.far, (t, seq, self._step, _NONE_ARGS))
-                        WHEEL_STATS.far_inserts += 1
-                    wheel.count += 1
-                    if sim.race_detector is not None:
-                        sim.race_detector.note_schedule(seq,
-                                                        sim.current_task)
+                        bucket.append((seq, self._step, _NONE_ARGS))
+                    sim._count += 1
                 else:
-                    sim.schedule(delay, self._step, None)
+                    sim._delta.append((seq, self._step, _NONE_ARGS))
+                if sim.race_detector is not None:
+                    sim.race_detector.note_schedule(seq, sim.current_task)
             elif cls is Event:
                 command.add_callback(self._step)
             elif cls is WakeAt:
@@ -378,23 +373,32 @@ class Simulator:
     Events at equal timestamps fire in scheduling order.  Time is a float
     in nanoseconds and never decreases.
 
-    Two queues carry the work: a timer wheel for future timestamps and a
-    FIFO *delta queue* for zero-delay callbacks at the current timestamp.
-    Every entry carries a globally monotone sequence number and the run
-    loop merges the queues by it, so queue placement is invisible to the
-    ordering contract.
+    Two queues carry the work: a heap of future deadlines, each with a
+    FIFO bucket of the ``(seq, fn, args)`` entries due then, and a FIFO
+    *delta queue* for callbacks at the current timestamp.  Every entry
+    carries a globally monotone sequence number, so both are in
+    ``(time, seq)`` order by construction and queue placement is
+    invisible to the ordering contract.
     """
 
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        # Future timestamps: near calendar + far heap (repro.sim.timers).
-        # Cancelled timers register their (time, seq) key with it so
-        # compaction can drop them instead of replaying the pop.
-        self._wheel = TimerWheel()
-        # Zero-delay callbacks at the current time, FIFO in seq order.
-        # Invariant: entries are only drained at the timestamp they were
-        # appended at — time cannot advance while the queue is non-empty.
+        # Future work: a heap of the pending deadlines (each > now), and
+        # per deadline the entries due then, appended in seq order.
+        self._times: list[float] = []
+        self._due: dict[float, list[tuple[int, Callable[..., None], tuple]]] \
+            = {}
+        self._count = 0        # entries in the buckets, tombstones included
+        # Tombstones (see repro.sim.timers): seq -> deadline of the
+        # cancelled timers still in a bucket, and the latest deadline
+        # among those compacted out — the clock reading their lazy pops
+        # would have left behind.
+        self._dead: dict[int, float] = {}
+        self._dead_horizon = 0.0
+        # Callbacks at the current time, FIFO in seq order.  Invariant:
+        # entries are only drained at the timestamp they were appended
+        # at — time cannot advance while the queue is non-empty.
         self._delta: Deque[tuple[int, Callable[..., None], tuple]] = deque()
         # Recycled Event callback lists (see Event.add_callback).
         self._cb_pool: list[list[Callable[[Any], None]]] = []
@@ -415,9 +419,9 @@ class Simulator:
 
     @property
     def pending_count(self) -> int:
-        """Live entries across both queues (wheel/delta), cancelled-
-        timer tombstones included."""
-        return len(self._wheel) + len(self._delta)
+        """Entries across both queues (buckets and delta).  Cancelled-
+        timer tombstones count until they pop or are compacted out."""
+        return self._count + len(self._delta)
 
     @property
     def quiescent(self) -> bool:
@@ -425,7 +429,7 @@ class Simulator:
         leaves behind (absent an ``until`` cutoff), and the state
         :meth:`checkpoint` wants: nothing pending means no live
         generator frames can be waiting in the queues."""
-        return self.pending_count == 0
+        return not self._times and not self._delta
 
     def checkpoint(self, root: Any = None, label: str = "") -> Any:
         """Snapshot ``root`` (default: this simulator alone) and
@@ -451,15 +455,29 @@ class Simulator:
 
     # -- scheduling -------------------------------------------------------
 
+    def _push(self, t: float, seq: int, fn: Callable[..., None],
+              args: tuple) -> None:
+        """File entry ``seq`` under the future deadline ``t`` (> now)."""
+        bucket = self._due.get(t)
+        if bucket is None:
+            self._due[t] = [(seq, fn, args)]
+            _heappush(self._times, t)
+        else:
+            bucket.append((seq, fn, args))
+        self._count += 1
+
     def schedule(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` ns of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
-        if delay == 0.0:
+        t = self._now + delay
+        if t == self._now:
+            # Zero delay, or one below the clock's float resolution: the
+            # entry is due now, after the work already queued for now.
             self._delta.append((seq, fn, args))
         else:
-            self._wheel.insert(self._now + delay, seq, fn, args, self._now)
+            self._push(t, seq, fn, args)
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -479,7 +497,7 @@ class Simulator:
         if at == self._now:
             self._delta.append((seq, fn, args))
         else:
-            self._wheel.insert(at, seq, fn, args, self._now)
+            self._push(at, seq, fn, args)
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
 
@@ -506,11 +524,17 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         self._seq = seq = self._seq + 1
-        if delay == 0.0:
+        t = self._now + delay
+        if t == self._now:
             self._delta.append((seq, ev.succeed, (value,)))
         else:
-            self._wheel.insert(self._now + delay, seq, ev.succeed, (value,),
-                               self._now)
+            bucket = self._due.get(t)
+            if bucket is None:
+                self._due[t] = [(seq, ev.succeed, (value,))]
+                _heappush(self._times, t)
+            else:
+                bucket.append((seq, ev.succeed, (value,)))
+            self._count += 1
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
         return ev
@@ -520,63 +544,92 @@ class Simulator:
         ``event`` triggers with ``value`` after ``delay`` ns unless
         :meth:`Timer.cancel` runs first.
 
-        Cancel is O(1): the handle remembers its ``(time, seq)`` key,
-        and a cancel either drops the still-staged entry or notes the
-        tombstone for compaction (see :class:`Timer`).  The clock's
-        trajectory — and every output byte — is the same as if the
-        tombstone had popped at its slot without triggering.  Use this
-        for timeout races that usually *don't* fire (doorbell completion
-        waits, RAS watchdogs): the skipped trigger saves the dead event
-        delivery that ``timeout_event`` would still pay.
+        Cancel is O(1): the handle remembers its entry's seq and deadline
+        and notes the tombstone for compaction (see :class:`Timer`).  The
+        clock's trajectory — and every output byte — is the same as if
+        the tombstone had popped at its slot without triggering.  Use
+        this for timeout races that usually *don't* fire (doorbell
+        completion waits, RAS watchdogs): the skipped trigger saves the
+        dead event delivery that ``timeout_event`` would still pay.
         """
-        if delay <= 0.0:
-            # A zero-delay timer fires from the delta queue at ``now``;
-            # there is nothing to stage, so it carries no key.
+        t = self._now + delay
+        if delay <= 0.0 or t == self._now:
+            # A timer due now fires from the delta queue and carries
+            # seq 0: it has no bucket entry to compact.
             handle = Timer(Event(self, name="timer"))
             self.schedule(delay, handle._fire, value)
             return handle
-        handle = Timer(None, self)
         self._seq = seq = self._seq + 1
-        t = self._now + delay
-        key = (t, seq)
-        # Stage rather than insert: refill flushes the nursery before
-        # handing out any bucket at or past ``t``, and a cancel that
-        # beats the flush skips the wheel entirely.
-        wheel = self._wheel
-        wheel.nursery[key] = (t, seq, handle._fire, (value,))
-        wheel.count += 1
-        if t < wheel.nursery_min:
-            wheel.nursery_min = t
+        handle = Timer(None, self, seq, t)
+        # Inlined self._push: watchdog churn is this call's whole use.
+        bucket = self._due.get(t)
+        if bucket is None:
+            self._due[t] = [(seq, handle._fire, (value,))]
+            _heappush(self._times, t)
+        else:
+            bucket.append((seq, handle._fire, (value,)))
+        self._count += 1
         if self.race_detector is not None:
             self.race_detector.note_schedule(seq, self.current_task)
-        handle._key = key
         return handle
+
+    def _reap(self) -> int:
+        """Compact every tombstone out of its bucket; returns the number
+        removed.  Touches only the buckets that hold tombstones (plus a
+        rebuild of the deadline heap when one empties) — amortized O(1)
+        per cancel, because :meth:`Timer.cancel` only calls it once
+        tombstones outnumber half the pending entries.  Works *in place*,
+        since a run loop in progress holds the containers.  Tombstones
+        already handed to the delta queue pop there lazily."""
+        dead = self._dead
+        if not dead:
+            return 0
+        due = self._due
+        removed = 0
+        emptied = False
+        for t in dict.fromkeys(dead.values()):
+            bucket = due.get(t)
+            if bucket is None:
+                continue
+            kept = [entry for entry in bucket if entry[0] not in dead]
+            if len(kept) == len(bucket):
+                continue
+            removed += len(bucket) - len(kept)
+            if kept:
+                bucket[:] = kept
+            else:
+                del due[t]
+                emptied = True
+        latest = max(dead.values())
+        if latest > self._dead_horizon:
+            self._dead_horizon = latest
+        dead.clear()
+        if not removed:
+            return 0
+        self._count -= removed
+        if emptied:
+            self._times[:] = due
+            _heapify(self._times)
+        stats = WHEEL_STATS
+        stats.reaped += removed
+        stats.reap_sweeps += 1
+        return removed
 
     def horizon(self) -> float:
         """Earliest pending live timestamp, or ``+inf`` when idle.
 
-        Pending zero-delay work reads as ``now``.  Tombstones are
-        compacted first so a cancelled watchdog cannot pin the horizon —
-        the rack fast-forward eligibility check depends on this: a
-        per-epoch heartbeat leaves one tombstone behind every window,
-        and without the sweep the rack could never look idle."""
+        Pending work at the current time reads as ``now``.  Tombstones
+        are compacted first, so a cancelled watchdog cannot pin the
+        horizon and the reading is exact — the rack fast-forward
+        eligibility check depends on this: a per-epoch heartbeat leaves
+        one tombstone behind every window, and without the pass the rack
+        could never look idle."""
         if self._delta:
             return self._now
-        wheel = self._wheel
-        if wheel.dead:
-            wheel.reap()
-        if wheel.ready:
-            return wheel.ready_time
-        nxt = wheel.far[0][0] if wheel.far else float("inf")
-        near_times = wheel.near_times
-        if near_times and near_times[0] < nxt:
-            nxt = near_times[0]
-        # nursery_min is a (possibly stale-low) lower bound on the staged
-        # deadlines — a pessimistic horizon is safe: callers (the rack
-        # fast-forward) just jump a little shorter.
-        if wheel.nursery and wheel.nursery_min < nxt:
-            nxt = wheel.nursery_min
-        return nxt
+        if self._dead:
+            self._reap()
+        times = self._times
+        return times[0] if times else float("inf")
 
     def spawn(self, gen: ProcessGen, name: str = "") -> Process:
         """Start a process; it takes its first step at the current time."""
@@ -593,78 +646,76 @@ class Simulator:
         clock is advanced exactly to ``until`` even if the last event fired
         earlier.
 
-        Merge rule: the wheel's ``ready`` bucket holds every live entry
-        of one timestamp, all scheduled strictly before the clock reached
-        it — so when its timestamp equals ``now``, every bucket entry's
-        seq is smaller than any delta entry's (delta work at ``now`` was
-        enqueued while draining) and the bucket drains first; when the
-        bucket timestamp is in the future, pending delta work at ``now``
-        drains first.  No per-event seq comparison is needed; the
-        structure *is* the ``(time, seq)`` order.
+        Merge rule: delta work always goes first — every deadline in the
+        heap lies in the future (an entry due now is appended to the
+        delta queue instead).  Once the delta queue is empty the clock
+        jumps to the earliest deadline and that deadline's bucket, whose
+        entries were all scheduled before any work at its time, moves to
+        the delta queue whole.  A bounded run stops before taking a
+        bucket past ``until``, so nothing is ever handed back.
         """
+        if until is not None and until < self._now:
+            return self._now
         # Hot loop: queues bound locally, and the armed state is sampled
         # once — arm sanitizers *before* calling run() (every Platform
         # path does).  The disarmed loop carries no per-event
-        # race-detector probe at all.
-        wheel = self._wheel
+        # race-detector probe at all.  ``fired`` counts the entries taken
+        # from the buckets locally and lands in WHEEL_STATS once, on the
+        # way out.
+        times = self._times
+        due = self._due
         delta = self._delta
-        ready = wheel.ready
-        if self.race_detector is None:
-            while True:
-                if ready:
-                    t = wheel.ready_time
-                    if not delta or t == self._now:
+        fired = 0
+        try:
+            if self.race_detector is None:
+                while True:
+                    if delta:
+                        entry = delta.popleft()
+                        entry[1](*entry[2])
+                    elif times:
+                        t = times[0]
                         if until is not None and t > until:
                             break
-                        e = ready.pop()
+                        _heappop(times)
+                        bucket = due.pop(t)
+                        self._count -= len(bucket)
+                        fired += len(bucket)
                         self._now = t
-                        e[2](*e[3])
+                        delta.extend(bucket)
+                    else:
+                        break
+            else:
+                while True:
+                    if delta:
+                        seq, fn, args = delta.popleft()
+                    elif times:
+                        t = times[0]
+                        if until is not None and t > until:
+                            break
+                        _heappop(times)
+                        bucket = due.pop(t)
+                        self._count -= len(bucket)
+                        fired += len(bucket)
+                        self._now = t
+                        delta.extend(bucket)
                         continue
-                if delta:
-                    if until is not None and self._now > until:
+                    else:
                         break
-                    entry = delta.popleft()
-                    entry[1](*entry[2])
-                elif wheel.count:
-                    wheel.refill()
-                    ready = wheel.ready
-                else:
-                    break
-        else:
-            while True:
-                if ready and (not delta or wheel.ready_time == self._now):
-                    t = wheel.ready_time
-                    if until is not None and t > until:
-                        break
-                    at, seq, fn, args = ready.pop()
-                    self._now = at
-                elif delta:
-                    if until is not None and self._now > until:
-                        break
-                    seq, fn, args = delta.popleft()
-                elif wheel.count:
-                    wheel.refill()
-                    ready = wheel.ready
-                    continue
-                else:
-                    break
-                self.current_task = seq
-                owner = getattr(fn, "__self__", None)
-                self.current_actor = owner if isinstance(owner, Process) \
-                    else fn
-                fn(*args)
-        # A bounded run may break with a refilled bucket still unfired
-        # (its timestamp past ``until``); hand it back so timers the
-        # caller schedules before the next run can fire ahead of it.
-        wheel.unready()
+                    self.current_task = seq
+                    owner = getattr(fn, "__self__", None)
+                    self.current_actor = owner if isinstance(owner, Process) \
+                        else fn
+                    fn(*args)
+        finally:
+            WHEEL_STATS.fired += fired
         if until is not None:
             if until > self._now:
                 self._now = until
-        elif wheel.dead_horizon > self._now:
-            # Phantom horizon: reaped tombstones would have popped (and
-            # advanced the clock) before the queues drained; land on the
-            # same final reading the lazy pops would have produced.
-            self._now = wheel.dead_horizon
+        elif self._dead_horizon > self._now:
+            # Reaped tombstones would have popped (and advanced the
+            # clock) before the queues drained; land on the same final
+            # reading the lazy pops would have produced.
+            self._now = self._dead_horizon
         return self._now
 
     def run_process(self, gen: ProcessGen, name: str = "") -> Any:

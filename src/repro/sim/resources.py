@@ -17,7 +17,7 @@ from collections import deque
 from typing import Any, Deque, Generator
 
 from repro.errors import SimulationError
-from repro.sim.engine import Event, Simulator, Timeout, WakeAt
+from repro.sim.engine import Event, Simulator, Timeout
 
 
 class Resource:
@@ -78,31 +78,6 @@ class Resource:
         finally:
             self.release()
 
-    def using_bulk(self, cost_ns: float,
-                   count: int) -> Generator[Any, Any, None]:
-        """Batched grant: ``count`` back-to-back ``using(cost_ns)`` cycles
-        collapsed into one acquire, one wake, one release.
-
-        Bit-exactness contract (``docs/PERFORMANCE.md``): for a *sole
-        sequential user* of the resource — nobody else holding or
-        waiting for the duration of the batch — a per-line loop of
-        ``yield from r.using(cost_ns)`` resumes at ``t += cost_ns`` once
-        per cycle, and this helper performs the identical left-to-right
-        chain of float additions, then lands on the result with a single
-        :class:`~repro.sim.engine.WakeAt`.  Callers are responsible for
-        the homogeneity check; when contention is possible they must
-        fall back to the per-line path.
-        """
-        if count <= 0:
-            return
-        yield self.acquire()
-        try:
-            end = self.sim.now
-            for _ in range(count):
-                end += cost_ns
-            yield WakeAt(end)
-        finally:
-            self.release()
 
 
 class Pipe:

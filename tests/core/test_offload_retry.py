@@ -128,3 +128,39 @@ def test_unarmed_plan_adds_no_bookkeeping(platform):
     report = platform.sim.run_process(engine.compress_page("cxl", data=PAGE))
     assert report.result is not None
     assert engine.timeouts == engine.retries == engine.fault_errors == 0
+
+
+def test_dropped_command_cannot_be_served_by_a_concurrent_offload(platform):
+    """Two overlapping offloads, the first dropped: the second's device
+    poll must serve its own command, not the dropped one queued ahead
+    of it.  The first times out; the second gets its own result."""
+    engine, plan = _armed_engine(platform)
+    plan.arm_counted("offload_drop", 1)
+    engine.max_retries = 0
+    sim = platform.sim
+    other = bytes(reversed(PAGE))
+    outcome = {}
+
+    def first():
+        try:
+            yield from engine.compress_page("cxl", data=PAGE)
+        except OffloadTimeoutError:
+            outcome["first"] = ("timeout", sim.now)
+
+    def second():
+        yield sim.timeout_event(50.0)          # submits while first waits
+        report = yield from engine.compress_page("cxl", data=other)
+        outcome["second"] = (report.result, sim.now)
+
+    sim.spawn(first())
+    sim.spawn(second())
+    sim.run()
+    assert outcome["first"][0] == "timeout"
+    alone = OffloadEngine(platform, functional=True)
+    own = sim.run_process(alone.compress_page("cpu", data=other)).result
+    assert outcome["second"][0] == own
+    assert outcome["second"][1] < outcome["first"][1]
+    assert engine.timeouts == 1
+    assert engine.doorbell.orphaned == 1
+    assert engine.doorbell.late_completions == 0
+    assert not engine.doorbell.inflight

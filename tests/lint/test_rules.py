@@ -388,6 +388,17 @@ def test_perf402_flags_send_loop(tmp_path):
     assert rules == ["PERF402"]
 
 
+def test_perf402_hint_names_a_fastpath_train(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(textwrap.dedent("""
+        def stream(res, cost, count):
+            for __ in range(count):
+                yield from res.using(cost)
+    """))
+    [finding] = lint_paths([str(path)], select=["PERF402"]).findings
+    assert "use a `repro.core.fastpath` train" in finding.message
+
+
 def test_perf402_reports_nested_loop_site_once(tmp_path):
     rules = lint_source(tmp_path, """
         def sweep(res, reps, lines, cost):
@@ -400,9 +411,9 @@ def test_perf402_reports_nested_loop_site_once(tmp_path):
 
 def test_perf402_allows_bulk_apis_and_single_charges(tmp_path):
     rules = lint_source(tmp_path, """
-        def bulk(res, link, direction, cost, count):
-            yield from res.using_bulk(cost, count)
-            yield from link.send_bulk(direction, 64, count)
+        def bulk(p, lsu, op, bursts):
+            for addrs in bursts:
+                yield from fastpath.try_lsu_train(p, lsu, op, addrs)
 
         def once(res, cost):
             yield from res.using(cost)

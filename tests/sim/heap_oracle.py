@@ -1,7 +1,9 @@
 """Heap reference engine: one binary heap plus a FIFO delta queue.
 
-This is the straightforward event loop the timer-wheel
-:class:`~repro.sim.engine.Simulator` must match callback for callback:
+This is the straightforward event loop the
+:class:`~repro.sim.engine.Simulator` — with its inlined schedule paths,
+deadline buckets and tombstone compaction — must match callback for
+callback:
 future work goes on a heap keyed ``(time, seq)``, zero-delay work on a
 FIFO at the current time, and the run loop merges the two by ``seq``.
 Cancelled timers are never reaped; their entries pop at their slot and

@@ -186,17 +186,18 @@ class TestSaveLoad:
             Checkpoint.load(str(path))
 
     def test_previous_format_is_rejected(self, tmp_path):
-        """A file from before the ``poison_seen`` cache slot (header
-        ``/2``) carries pickled caches without it; it must fail at the
-        header, not later when a train reads the missing slot."""
+        """A file from before the deadline-bucket engine (header
+        ``/3``) pickles a simulator carrying a timer wheel; it must fail
+        at the header, not later when the run loop reads the missing
+        buckets."""
         sim = Simulator()
         sim.run()
         path = tmp_path / "old.ckpt"
         snapshot(sim, label="old").save(str(path))
         body = path.read_bytes()
-        assert body.startswith(b"repro-checkpoint/3\n")
-        path.write_bytes(b"repro-checkpoint/2\n"
-                         + body[len(b"repro-checkpoint/3\n"):])
+        assert body.startswith(b"repro-checkpoint/4\n")
+        path.write_bytes(b"repro-checkpoint/3\n"
+                         + body[len(b"repro-checkpoint/4\n"):])
         with pytest.raises(CheckpointError, match="magic"):
             Checkpoint.load(str(path))
 

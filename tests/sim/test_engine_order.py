@@ -77,7 +77,7 @@ def test_zero_delay_chain_runs_before_time_advances(sim):
 
 
 def test_call_soon_issued_before_run_fires_at_current_time(sim):
-    """call_soon before run() fires at t=0 even when an earlier-seq heap
+    """call_soon before run() fires at t=0 even when an earlier-seq
     entry exists at a later time."""
     order = []
     sim.schedule(5.0, order.append, "late")
@@ -346,21 +346,21 @@ def test_new_simulator_is_reproducible():
 
 
 # ---------------------------------------------------------------------------
-# Timer wheel vs heap: the engine (repro.sim.timers wheel + delta queue)
-# must replay every interleaving of near/far/delta traffic exactly like
-# the plain (time, seq) heap loop in tests/sim/heap_oracle.py.
+# Engine vs heap oracle: the engine (deadline buckets + delta queue,
+# inlined schedule paths, tombstone compaction) must replay every
+# interleaving of short, long and zero-delay traffic exactly like the
+# plain (time, seq) heap loop in tests/sim/heap_oracle.py.
 # ---------------------------------------------------------------------------
 
 from hypothesis import given, settings          # noqa: E402
 from hypothesis import strategies as st         # noqa: E402
 
 from repro.lint.races import RaceDetector       # noqa: E402
-from repro.sim.timers import NEAR_SPAN_NS       # noqa: E402
 from tests.sim.heap_oracle import HeapOracle    # noqa: E402
 
-# Delays spanning the delta queue (0), the near calendar, the far heap
-# from the span boundary out to ~80 s — plus a float-extreme tiny delay.
-_DELAYS = (0.0, 1e-9, 0.5, 7.0, NEAR_SPAN_NS - 1.0, NEAR_SPAN_NS,
+# Delays spanning the delta queue (0), a few ns, ~4 µs, and out to ~80 s
+# — plus a float-extreme tiny delay.
+_DELAYS = (0.0, 1e-9, 0.5, 7.0, 4095.0, 4096.0,
            50_000.0, 3_000_000.0, 400_000_000.0, 80_000_000_000.0)
 
 _op = st.one_of(
@@ -425,7 +425,7 @@ def test_property_wheel_heap_parity_holds_with_race_detector_armed(program):
 
 def test_wheel_heap_parity_pinned_reference():
     """One handcrafted interleaving with its full trace pinned
-    literally (captured from the pre-wheel heap engine), so a
+    literally (captured from an earlier heap engine), so a
     simultaneous regression of the engine and the oracle cannot slip
     through the differential tests above."""
     program = [("call_soon",), ("schedule", 0.0), ("timeout_chain", 7.0, 2),
@@ -440,11 +440,12 @@ def test_wheel_heap_parity_pinned_reference():
     assert _replay(program, Simulator(), armed=True) == expected
 
 
-# Exact-float collisions between the far heap and the near calendar: a
-# far entry made at t=0 and near entries made after a bounded run, on
-# the same deadline.  Every value is a small dyadic rational, so
-# ``split + (deadline - split)`` lands on ``deadline`` bit for bit.
-_FAR_DEADLINES = (NEAR_SPAN_NS, 5000.0, 6000.5, 9000.0)
+# Exact-float deadline collisions between entries made at different
+# clocks: a long-delay entry made at t=0 and short-delay entries made
+# after a bounded run, on the same deadline.  Every value is a small
+# dyadic rational, so ``split + (deadline - split)`` lands on
+# ``deadline`` bit for bit.
+_FAR_DEADLINES = (4096.0, 5000.0, 6000.5, 9000.0)
 _SPLITS = (0.0, 1000.0, 2000.0, 4000.0)
 
 _collision = st.tuples(st.sampled_from(_FAR_DEADLINES),
@@ -453,11 +454,13 @@ _collision = st.tuples(st.sampled_from(_FAR_DEADLINES),
 
 
 def _replay_collisions(program, sim):
-    """Arm far work at t=0 (schedule, process Timeout, staged timer),
+    """Arm long-delay work at t=0 (schedule, process Timeout, timer),
     then for each split run ``until`` it and arm later work on the same
-    deadlines.  A marker just past each split makes the bounded run
-    refill and hand back (``unready``) a bucket, so the far deadlines
-    are still on the far heap when the near entries join them."""
+    deadlines.  A marker just past each split holds the earliest
+    deadline when the bounded run stops, so the run must leave it
+    unpopped, and the
+    later entries must join the earlier ones on their deadline in seq
+    order."""
     trace = []
 
     def sleeper(tag, delay):

@@ -1,111 +1,93 @@
-"""Timer wheel: structure, cancellation, and heap parity.
+"""Engine timers: deadline ordering, cancellation, and heap parity.
 
-The wheel (repro.sim.timers) is a pure performance structure — its
-contract is that no observable ordering changes against a plain heap.
-These tests cover the wheel's own mechanics (near/far routing, the
-same-deadline merge, nursery flushes, tombstones); the byte-for-byte
-replay property against the heap oracle lives in
-tests/sim/test_engine_order.py next to the ordering spec it extends.
+Future work sits in one FIFO bucket per deadline under a heap of the
+deadlines (repro.sim.engine) — its contract is that no observable
+ordering changes against a plain ``(time, seq)`` heap loop.  These
+tests cover the timer mechanics (FIFO at one deadline, entries made at
+different clocks on one deadline, delays below the clock's resolution,
+tombstones, bounded runs); the byte-for-byte replay property against
+the heap oracle lives in tests/sim/test_engine_order.py next to the
+ordering spec it extends.
 """
 
 from __future__ import annotations
 
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import NEAR_SPAN_NS, WHEEL_STATS, TimerWheel
 from tests.sim.heap_oracle import HeapOracle
 
 
 # ---------------------------------------------------------------------------
-# Wheel structure: routing, merging and flushing
+# Deadline order: time first, then scheduling order
 # ---------------------------------------------------------------------------
 
 
-def _drain(wheel):
-    """Pop every entry in engine order: (time, seq) ascending."""
-    out = []
-    while len(wheel):
-        if not wheel.ready:
-            wheel.refill()
-        while wheel.ready:
-            e = wheel.ready.pop()
-            out.append((e[0], e[1]))
-    return out
+def _tagger(sim, out):
+    return lambda tag: out.append((sim.now, tag))
 
 
 def test_near_entries_drain_in_time_then_seq_order():
-    wheel = TimerWheel()
-    seq = 0
-    for t in (8.0, 2.0, 8.0, 5.0, 2.0):
-        seq += 1
-        wheel.insert(t, seq, None, (), 0.0)
-    assert _drain(wheel) == [(2.0, 2), (2.0, 5), (5.0, 4),
-                             (8.0, 1), (8.0, 3)]
-
-
-def test_near_and_far_route_at_the_span_boundary():
-    """Deadlines less than ``NEAR_SPAN_NS`` out go to the near calendar;
-    at the span and beyond they go to the far heap, relative to the
-    ``now`` of the insert."""
-    WHEEL_STATS.reset()
-    wheel = TimerWheel()
-    now = 1000.0
-    wheel.insert(now + NEAR_SPAN_NS - 1.0, 1, None, (), now)
-    wheel.insert(now + NEAR_SPAN_NS, 2, None, (), now)
-    wheel.insert(now + 80e9, 3, None, (), now)
-    assert list(wheel.near) == [now + NEAR_SPAN_NS - 1.0]
-    assert sorted(e[1] for e in wheel.far) == [2, 3]
-    assert WHEEL_STATS.far_inserts == 2
-    assert _drain(wheel) == [(now + NEAR_SPAN_NS - 1.0, 1),
-                             (now + NEAR_SPAN_NS, 2), (now + 80e9, 3)]
+    sim = Simulator()
+    out = []
+    tag = _tagger(sim, out)
+    for seq, t in enumerate((8.0, 2.0, 8.0, 5.0, 2.0), start=1):
+        sim.schedule(t, tag, seq)
+    sim.run()
+    assert out == [(2.0, 2), (2.0, 5), (5.0, 4), (8.0, 1), (8.0, 3)]
 
 
 def test_near_and_far_entries_on_one_deadline_drain_in_seq_order():
-    """The merge path: a far entry made early and near entries made
-    later on the *same* float deadline come out as one bucket in seq
-    order, with the far entries merged in wherever their seqs fall."""
-    WHEEL_STATS.reset()
-    wheel = TimerWheel()
+    """Entries made at different clocks on the *same* float deadline —
+    two 5000 ns out from t=0, two 3000 ns out from t=2000 — fire in seq
+    order, the later ones after the earlier ones whatever their delay."""
+    sim = Simulator()
+    out = []
+    tag = _tagger(sim, out)
     t = 5000.0
-    wheel.insert(t, 1, None, (), 0.0)          # far: 5000 ns out
-    wheel.insert(t, 3, None, (), 0.0)          # far
-    wheel.insert(t, 2, None, (), 2000.0)       # near: 3000 ns out
-    wheel.insert(t, 4, None, (), 2000.0)       # near
-    wheel.insert(t + 1.0, 5, None, (), 0.0)    # far, next deadline
-    assert len(wheel.near[t]) == 2 and len(wheel.far) == 3
-    wheel.refill()
-    assert wheel.ready_time == t
-    assert [e[1] for e in reversed(wheel.ready)] == [1, 2, 3, 4]
-    assert WHEEL_STATS.cascades == 1
-    assert _drain(wheel) == [(t, 1), (t, 2), (t, 3), (t, 4), (t + 1.0, 5)]
-
-
-def test_nursery_flush_lands_on_far():
-    """Staged cancellable timers go to the far heap when a refill
-    flushes them, whatever their distance, and still drain in (time,
-    seq) order beside near entries."""
-    WHEEL_STATS.reset()
-    wheel = TimerWheel()
-    for seq, t in ((1, 30.0), (2, 10.0)):
-        wheel.nursery[(t, seq)] = (t, seq, None, ())
-        wheel.count += 1
-        wheel.nursery_min = min(wheel.nursery_min, t)
-    wheel.insert(20.0, 3, None, (), 0.0)
-    wheel.insert(10.0, 4, None, (), 0.0)
-    wheel.refill()
-    assert not wheel.nursery and wheel.nursery_min == float("inf")
-    assert WHEEL_STATS.far_inserts == 2
-    assert wheel.ready_time == 10.0
-    assert [e[1] for e in reversed(wheel.ready)] == [2, 4]
-    assert [e[1] for e in wheel.far] == [1]
-    assert _drain(wheel) == [(10.0, 2), (10.0, 4), (20.0, 3), (30.0, 1)]
+    sim.schedule(t, tag, 1)
+    sim.schedule(t, tag, 3)
+    sim.schedule(t + 1.0, tag, 5)
+    sim.run(until=2000.0)
+    sim.schedule(t - 2000.0, tag, 2)
+    sim.schedule(t - 2000.0, tag, 4)
+    sim.run()
+    assert out == [(t, 1), (t, 3), (t, 2), (t, 4), (t + 1.0, 5)]
 
 
 def test_same_deadline_appends_keep_fifo_without_sort():
-    wheel = TimerWheel()
-    t = 100.0
+    sim = Simulator()
+    out = []
+    tag = _tagger(sim, out)
     for seq in range(1, 50):
-        wheel.insert(t, seq, None, (), 0.0)
-    assert _drain(wheel) == [(t, seq) for seq in range(1, 50)]
+        sim.schedule(100.0, tag, seq)
+    sim.run()
+    assert out == [(100.0, seq) for seq in range(1, 50)]
+
+
+def test_delay_below_clock_resolution_is_due_now_in_seq_order():
+    """At a large clock a small positive delay rounds to ``now``.  Such
+    an entry is due now, after the work already queued for now and
+    before the work queued after it — through every schedule path —
+    exactly as the heap oracle's ``(time, seq)`` order has it."""
+    def drive(sim):
+        out = []
+
+        def proc():
+            yield Timeout(2.0 ** 60)           # one ulp here is 256 ns
+            sim.call_soon(out.append, "soon-1")
+            sim.schedule(1.0, out.append, "schedule")
+            sim.timeout_event(1.0, "timeout_event").add_callback(out.append)
+            sim.timer(1.0, "timer").event.add_callback(out.append)
+            sim.call_soon(out.append, "soon-2")
+            yield Timeout(1.0)
+            out.append(("resumed", sim.now))
+
+        sim.spawn(proc())
+        sim.run()
+        return out, sim.now, sim._seq
+
+    engine = drive(Simulator())
+    assert engine == drive(HeapOracle())
+    assert ("resumed", 2.0 ** 60) in engine[0]
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +153,7 @@ def test_cancelled_timer_still_advances_clock_identically():
 
 
 def test_cancel_in_both_modes_is_equivalent():
-    """Wheel-side reaping vs the heap oracle's lazy tombstone pops."""
+    """Engine-side reaping vs the heap oracle's lazy tombstone pops."""
     def run(sim):
         out = []
 
@@ -193,40 +175,28 @@ def test_cancel_in_both_modes_is_equivalent():
 
 
 # ---------------------------------------------------------------------------
-# Bounded runs: a refilled-but-unfired bucket must not wedge the wheel
+# Bounded runs: an unfired future entry must not wedge earlier timers
 # ---------------------------------------------------------------------------
 
 
-def test_unready_rehomes_a_refilled_bucket():
-    """refill() pops the earliest bucket into ``ready``; unready() must
-    put it back so later, *earlier* inserts still drain first."""
-    wheel = TimerWheel()
-    wheel.insert(900.0, 1, None, (), 0.0)
-    wheel.refill()
-    assert wheel.ready and wheel.ready_time == 900.0
-    wheel.unready()
-    assert not wheel.ready and len(wheel) == 1
-    wheel.insert(100.0, 2, None, (), 0.0)
-    assert _drain(wheel) == [(100.0, 2), (900.0, 1)]
-
-
 def test_bounded_run_does_not_wedge_later_earlier_timers():
-    """Regression: ``run(until=X)`` breaking before a refilled bucket's
-    deadline used to leave that bucket parked in ``ready`` — every
-    timer scheduled afterwards at an earlier deadline sat behind it and
-    never fired (the rack's per-epoch heartbeats hit exactly this)."""
+    """Regression: ``run(until=X)`` stopping before a future deadline
+    once left that entry parked ahead of the queue — every timer
+    scheduled afterwards at an earlier deadline sat behind it and never
+    fired (the rack's per-epoch heartbeats hit exactly this).  The run
+    now stops without taking anything past ``until``."""
     sim = Simulator()
 
     def sleeper(delay):
         yield Timeout(delay)
 
     far = sim.spawn(sleeper(6_080_000.0))
-    # The bounded run refills the far bucket into ready, fires nothing.
+    # The bounded run reaches the far entry's head and fires nothing.
     sim.run(until=0.0)
     assert not far.finished
     near = sim.spawn(sleeper(500.0))
     sim.run(until=1_000.0)
-    assert near.finished, "near-deadline timer wedged behind a stale bucket"
+    assert near.finished, "near-deadline timer wedged behind a later entry"
     assert not far.finished
     sim.run()
     assert far.finished

@@ -5,13 +5,15 @@ drain, where every tombstone pops at its slot and skips the trigger:
 same fire order, same values, same final clock (the dead-horizon fold
 stands in for the tombstone pop at the end of an unbounded run).  Two
 lazy drains serve as references: the heap oracle in
-tests/sim/heap_oracle.py, and the wheel itself with sweeps disabled so
-wheel-resident tombstones pop at their slot.  On top of
-the equivalence, these tests pin the mechanisms: nursery staging keeps
-cancel-before-flush watchdogs out of the wheel entirely, ratio-
-triggered sweeps compact what did get inserted, and ``WHEEL_STATS``
-reconciles so ``tombstones_pending`` does not drift upward forever
-(``cancelled`` alone over-reports outstanding timers on long racks).
+tests/sim/heap_oracle.py, and the engine itself with compaction
+disabled (the ``wheel`` parameter id, kept from the engine's earlier
+timer structure) so every tombstone pops at its slot.  On top of the
+equivalence, these tests pin the mechanisms: ratio-triggered passes
+compact the buckets in place, even from inside a running ``run()``,
+``pending_count`` counts tombstones until they leave their bucket, and
+``WHEEL_STATS`` reconciles so ``tombstones_pending`` does not drift
+upward forever (``cancelled`` alone over-reports outstanding timers on
+long racks).
 """
 
 from __future__ import annotations
@@ -19,16 +21,15 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import Simulator, Timeout
-from repro.sim.timers import WHEEL_STATS, TimerWheel
+from repro.sim.timers import WHEEL_STATS
 from tests.sim.heap_oracle import HeapOracle
 
 
 def _watchdog_trajectory(sim):
     """The RAS shape: long watchdogs armed and cancelled every step,
     some allowed to fire; returns (tick trace, final clock).  Paced
-    processes wait on a short timer beside the watchdog, which forces
-    the nursery flush, so their cancels leave tombstones in the wheel
-    proper rather than being absorbed while staged."""
+    processes wait on a short timer beside the watchdog, so timer pops
+    and tombstones interleave on the heap."""
     trace = []
 
     def proc(period, leak_every, paced):
@@ -68,7 +69,7 @@ def test_reap_is_observationally_identical(reference, monkeypatch):
     if reference == "heap":
         lazy = _watchdog_trajectory(HeapOracle())
     else:
-        monkeypatch.setattr(TimerWheel, "reap", lambda self: 0)
+        monkeypatch.setattr(Simulator, "_reap", lambda self: 0)
         WHEEL_STATS.reset()
         lazy = _watchdog_trajectory(Simulator())
         assert WHEEL_STATS.reap_sweeps == 0
@@ -80,8 +81,8 @@ def test_reap_is_observationally_identical(reference, monkeypatch):
 def test_cancel_all_still_advances_clock(staged):
     """Every timer cancelled: the dead-horizon fold must land the clock
     exactly where draining the tombstones would have — whether the
-    cancels beat the nursery flush (``staged``) or hit entries already
-    in the wheel, where they are swept as tombstones."""
+    cancels come before any timer popped (``staged``) or after the
+    first one fired."""
     sim = Simulator()
 
     def proc():
@@ -89,7 +90,7 @@ def test_cancel_all_still_advances_clock(staged):
         if staged:
             yield Timeout(5.0)
         else:
-            yield timers[0].event      # refill flushed the nursery
+            yield timers[0].event      # the first timer fired
         for timer in timers:
             timer.cancel()
 
@@ -98,54 +99,26 @@ def test_cancel_all_still_advances_clock(staged):
     assert sim.now == 3200.0
 
 
-def test_nursery_absorbs_cancel_before_flush():
-    """A watchdog cancelled before any refill needs its bucket never
-    touches the far wheel: no insert, no tombstone, no sweep."""
-    WHEEL_STATS.reset()
-    sim = Simulator()
-
-    def proc():
-        for _ in range(200):
-            watchdog = sim.timer(5_000_000.0)   # far-level deadline
-            yield Timeout(1.0)
-            watchdog.cancel()
-
-    sim.spawn(proc())
-    sim.run()
-    stats = WHEEL_STATS.describe()
-    assert stats["far_inserts"] == 0
-    assert stats["reap_sweeps"] == 0
-    assert stats["dead_fired"] == 0
-    assert stats["cancelled"] == 200
-    assert stats["tombstones_pending"] == 0
-
-
 def test_stats_reconcile_after_sweep_of_far_tombstones():
-    """The satellite fix: cancelled - reaped - dead_fired returns to
-    zero once the structures are compacted, instead of reporting every
-    historical cancel as still pending.
-
-    Getting a tombstone *into* the wheel takes work by design (the
-    nursery absorbs any cancel that beats the flush): stage one early
-    timer next to many far ones, let the early deadline force the
-    flush — dumping the far group into the wheel proper — and only
-    then cancel.  The dead ratio trips a sweep, and ``describe()``
-    reconciles back to zero pending."""
+    """cancelled - reaped - dead_fired returns to zero once the heap is
+    compacted, instead of reporting every historical cancel as still
+    pending: one early timer fires, then 64 far ones are cancelled, the
+    dead ratio trips a pass, and ``describe()`` reconciles back to zero
+    pending."""
     WHEEL_STATS.reset()
     sim = Simulator()
 
     def proc():
-        early = sim.timer(1_000.0)               # forces the flush
+        early = sim.timer(1_000.0)
         far = [sim.timer(1_000_000.0 + i * 16.0) for i in range(64)]
-        yield early.event                        # now the far group is
-        for timer in far:                        # wheel-resident
+        yield early.event
+        for timer in far:
             timer.cancel()
 
     sim.spawn(proc())
     sim.run()
     stats = WHEEL_STATS.describe()
     assert stats["cancelled"] == 64
-    assert stats["far_inserts"] >= 64
     assert stats["reap_sweeps"] >= 1
     assert stats["reaped"] + stats["dead_fired"] == 64
     assert stats["tombstones_pending"] == 0
@@ -153,10 +126,9 @@ def test_stats_reconcile_after_sweep_of_far_tombstones():
     assert sim.now == 1_000_000.0 + 63 * 16.0
 
 
-def test_horizon_sees_through_tombstones_and_nursery():
+def test_horizon_sees_through_tombstones():
     """`Simulator.horizon()` (the rack fast-forward input) must report
-    the next *live* deadline: staged nursery entries count, cancelled
-    entries do not pin it."""
+    the next *live* deadline exactly: cancelled entries do not pin it."""
     sim = Simulator()
 
     def proc():
@@ -167,11 +139,62 @@ def test_horizon_sees_through_tombstones_and_nursery():
 
     sim.spawn(proc())
     sim.run(until=20.0)
-    # The cancelled 50.0 must not mask the live 400.0 (a stale-low
-    # nursery bound is allowed — horizons are lower bounds — but a
-    # reaped structure reports the live entry).
-    assert sim.horizon() <= 400.0
+    # The cancelled 50.0 must not mask the live 400.0.
+    assert sim.horizon() == 400.0
     sim.run(until=60.0)
-    assert 60.0 < sim.horizon() <= 400.0
+    assert sim.horizon() == 400.0
     sim.run()
     assert sim.horizon() == float("inf")
+
+
+def test_cancel_storm_inside_run_compacts_in_place():
+    """A cancel storm from inside a running ``run()`` trips compaction
+    while the run loop holds the deadline heap and the bucket map: the
+    pass must rewrite those same containers, and the trace must still
+    match the lazy heap oracle."""
+    def storm(sim):
+        trace = []
+
+        def proc():
+            timers = [sim.timer(10_000.0 + i, i) for i in range(40)]
+            sim.timer(500.0, "live")
+            yield Timeout(100.0)
+            engine = isinstance(sim, Simulator)
+            if engine:
+                times, due = sim._times, sim._due
+            for timer in timers[:30]:
+                timer.cancel()
+            if engine:
+                # Compacted in place: emptied deadlines left both.
+                assert sim._times is times and sim._due is due
+                assert len(times) == len(due) < 41
+            value = yield timers[35].event
+            trace.append((sim.now, value))
+
+        sim.spawn(proc())
+        sim.run()
+        return trace, sim.now, sim._seq
+
+    WHEEL_STATS.reset()
+    assert storm(Simulator()) == storm(HeapOracle())
+    assert WHEEL_STATS.reap_sweeps >= 1
+    assert WHEEL_STATS.reaped >= 21
+
+
+def test_pending_count_counts_tombstones_until_they_leave():
+    """A cancelled timer stays in ``pending_count`` until it pops
+    through its slot or a compaction pass reaps it."""
+    sim = Simulator()
+    timers = [sim.timer(100.0 * (i + 1)) for i in range(4)]
+    assert sim.pending_count == 4
+    timers[0].cancel()                 # 1 dead of 4: no pass yet
+    assert sim.pending_count == 4
+    sim.run(until=150.0)               # the tombstone pops at its slot
+    assert sim.pending_count == 3
+    timers[1].cancel()                 # 1 dead of 3: still no pass
+    assert sim.pending_count == 3
+    timers[2].cancel()                 # 2 dead of 3: the pass reaps both
+    assert sim.pending_count == 1
+    sim.run()
+    assert sim.pending_count == 0
+    assert sim.now == 400.0

@@ -315,8 +315,8 @@ def test_hang_with_scheduled_repair_recovers_the_fast_path():
 
 
 def test_bulk_demotion_stats_with_resilience_armed():
-    """Armed resilience + armed faults: the link demotes send_bulk to
-    the per-line path (BULK_STATS fallbacks) and the policy-routed
+    """Armed resilience + armed faults: the fast path demotes every
+    train to the per-line path (BULK_STATS fallbacks) and the policy-routed
     offload still completes."""
     BULK_STATS.reset()
     with flags.override(bulk=True):

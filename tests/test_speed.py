@@ -46,14 +46,15 @@ def test_write_json_round_trips(payload, tmp_path):
 
 
 def test_timeouts_far_bench_drives_the_far_heap():
-    """Every period is past the wheel's near window, so every timeout
-    is a far-heap push and no near deadline is ever made."""
+    """Every timeout of the bench is filed under its deadline and taken
+    off it once (``fired``), and the retired ``cascades`` counter stays
+    0."""
     from repro.sim.timers import WHEEL_STATS
     WHEEL_STATS.reset()
     assert speed.bench_timeouts_far(n_procs=4, steps=10) > 0
     snap = WHEEL_STATS.snapshot()
-    assert snap["far_inserts"] == snap["fired"] == 40
-    assert snap["max_distinct_deadlines"] == 0
+    assert snap["fired"] == 40
+    assert snap["cascades"] == 0
 
 
 def _payload(ev=1000.0, wall=1.0):
@@ -151,3 +152,39 @@ class TestSpeedupFloors:
             })
         text = speed.render(payload)
         assert "restores" in text and "hits" in text
+
+
+def _rack_cell(speedup, cpus, jobs):
+    return {"feature": "shardpool", "off_wall_s": 3.0,
+            "on_wall_s": 3.0 / speedup, "speedup": speedup, "cpus": cpus,
+            "stats": {"hosts": 16, "served": 1, "jobs": jobs,
+                      "routed_wires": 1, "epochs": 1}}
+
+
+class TestRackParallelFloor:
+    def test_floor_keeps_per_worker_efficiency(self):
+        assert speed.rack_parallel_floor(4, 8) == 2.0
+        assert speed.rack_parallel_floor(3, 3) == 1.5
+        assert speed.rack_parallel_floor(2, 2) == 1.0
+        assert speed.rack_parallel_floor(1, 1) is None
+        assert speed.rack_parallel_floor(4, 1) is None
+
+    @pytest.mark.parametrize("speedup,cpus,jobs,fails", [
+        (1.8, 8, 4, True),      # full floor on a big host
+        (2.1, 4, 4, False),
+        (1.2, 2, 2, False),     # 2 cpus: the derived 1.0x floor
+        (0.9, 2, 2, True),
+        (0.9, 1, 1, False),     # one cpu: unmeasured
+        (0.98, 1, 4, False),    # a jobs=4 cell from a 1-cpu host
+    ])
+    def test_compare_applies_the_floor_for_the_jobs_run(self, speedup, cpus,
+                                                        jobs, fails):
+        current = dict(_payload(), speedups={
+            "rack_parallel": _rack_cell(speedup, cpus, jobs)})
+        failures = speed.compare(current, _payload())
+        assert bool(failures) == fails
+
+    def test_render_marks_a_one_cpu_cell_unmeasured(self):
+        payload = dict(_payload(), peak_rss_kb=1, speedups={
+            "rack_parallel": _rack_cell(1.0, 1, 1)})
+        assert "unmeasured" in speed.render(payload)
