@@ -146,16 +146,6 @@ ENGINE_BENCHES: Dict[str, Callable[[], float]] = {
 # --------------------------------------------------------------------------
 # End-to-end experiment timings: what `python -m repro <x>` costs.
 
-def _exp_table3() -> None:
-    from repro.experiments import table3_coherence
-    table3_coherence.run()
-
-
-def _exp_fig3() -> None:
-    from repro.experiments import fig3_d2h
-    fig3_d2h.run(reps=5)
-
-
 def _exp_faults() -> None:
     from repro.experiments import ext_fault_resilience
     ext_fault_resilience.run_device_kill(pages=60)
@@ -272,8 +262,6 @@ def _exp_rack_sparse() -> None:
 
 
 EXPERIMENT_BENCHES: Dict[str, Callable[[], None]] = {
-    "table3": _exp_table3,
-    "fig3_reps5": _exp_fig3,
     "faults_kill60": _exp_faults,
     "fig6_cxl_ldst": _exp_fig6_cxl_ldst,
     "zswap_ksm": _exp_zswap_ksm,

@@ -195,11 +195,10 @@ class HostConfig:
 class DcohConfig:
     """One DCOH slice: device caches + coherence engine (SIV).
 
-    ``slices`` instantiates multiple MC/DCOH/CAFU triples, interleaved
-    at cache-line granularity (SIV: "one or more instances").
+    The device has one slice; SIV's "one or more instances" is not
+    modelled (docs/TIMING_MODEL.md).
     """
 
-    slices: int = 1
     hmc_kib: int = 128         # host-memory cache, 4-way
     hmc_ways: int = 4
     dmc_kib: int = 32          # device-memory cache, direct-mapped

@@ -14,17 +14,25 @@ cxl-zswap/ksm communicate without interrupts or descriptor rings:
 
 The host's entire per-command CPU cost is a handful of nt-st and one
 ld — the ~20-50 LoC / near-zero-cycle story of SVII.
+
+An offload handler drives a command through :meth:`Doorbell.open`
+(submit, then the device's poll) and :meth:`Doorbell.close` (the result
+push, then the host's completion read).  A command that starts on a
+quiescent simulator replays both halves as arithmetic
+(:func:`repro.core.fastpath.try_command_head` and ``try_command_tail``),
+bit-exact to the per-line steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Optional, Set
+from typing import Any, Dict, Generator, Optional, Set, Tuple
 
+from repro.core import fastpath
 from repro.core.platform import Platform
 from repro.core.requests import D2HOp, HostOp
 from repro.errors import OffloadError, OffloadTimeoutError
-from repro.sim.engine import Event
+from repro.sim.engine import Event, WakeAt
 from repro.sim.resources import Pipe
 from repro.units import CACHELINE, kib
 
@@ -76,6 +84,9 @@ class Doorbell:
         self._orphans: Set[int] = set()
         self.orphaned = 0
         self.late_completions = 0
+        # Tags whose submit and poll ran as a command train: their
+        # completion half may train too.
+        self._trained: Set[int] = set()
 
     @property
     def queue_depth(self) -> int:
@@ -96,11 +107,60 @@ class Doorbell:
         for addr in self._cmd_lines:
             yield from core.cxl_op(HostOp.NT_STORE, addr, t2)
         self._commands.put(command)
-        self.submitted += 1
-        self.inflight[command.tag] = self.p.sim.now
-        self._cpl_events[command.tag] = Event(
-            self.p.sim, name=f"{self.name}.cpl[{command.tag}]")
+        self._posted(command.tag, self.p.sim.now)
         return command.tag
+
+    def _posted(self, tag: int, at: float) -> None:
+        """The submit of ``tag`` retired at ``at``: it is in flight."""
+        self.submitted += 1
+        self.inflight[tag] = at
+        self._cpl_events[tag] = Event(self.p.sim,
+                                      name=f"{self.name}.cpl[{tag}]")
+
+    def open(self, command: Command) -> Generator[Any, Any,
+                                                  Tuple[Command, float]]:
+        """A handler's steps 1-2: :meth:`submit` ``command``, then the
+        device's :meth:`device_poll` picks it up.  Returns the command
+        and the submit's host cost (ns)."""
+        sim = self.p.sim
+        t0 = sim.now
+        times = fastpath.try_command_head(self.p, self)
+        if times is None:
+            tag = yield from self.submit(command)
+            host_ns = sim.now - t0
+            return (yield from self.device_poll(tag)), host_ns
+        submitted, polled = times
+        command.tag = self._next_tag
+        self._next_tag += 1
+        self._posted(command.tag, submitted)
+        self._trained.add(command.tag)
+        yield WakeAt(polled)
+        return command, submitted - t0
+
+    def close(self, completion: Completion,
+              push_to_llc: bool) -> Generator[Any, Any, Tuple[float, float]]:
+        """A handler's step 5 and host wake-up: :meth:`device_complete`,
+        then the host reads the completion.  Returns the device push's
+        and the host read's durations (ns)."""
+        sim = self.p.sim
+        t1 = sim.now
+        times = None
+        if completion.tag in self._trained:
+            self._trained.discard(completion.tag)
+            times = fastpath.try_command_tail(self.p, self, completion.tag,
+                                              push_to_llc)
+        if times is None:
+            yield from self.device_complete(completion, push_to_llc)
+            t = sim.now
+            yield from (self.read_completion_from_llc() if push_to_llc
+                        else self.read_completion())
+            return t - t1, sim.now - t
+        completed, read = times
+        self._deliver(completion)
+        __, completion = self._completions.try_get()
+        self._retire(completion)
+        yield WakeAt(read)
+        return completed - t1, read - completed
 
     def read_completion(self) -> Generator[Any, Any, Completion]:
         """Timed host-side completion read: one ld of the result line.
@@ -229,6 +289,10 @@ class Doorbell:
             self._orphans.discard(completion.tag)
             self.late_completions += 1
             return
+        self._deliver(completion)
+
+    def _deliver(self, completion: Completion) -> None:
+        """The result line landed: make the completion visible."""
         self._completions.put(completion)
         ev = self._cpl_events.get(completion.tag)
         if ev is not None and not ev.triggered:

@@ -33,9 +33,9 @@ Bit-exactness rests on three pillars:
   draws element for element and leaves the same generator state.
 
 Background work (posted-write drains, dirty-victim writebacks) is
-charged into per-channel write-queue ledgers and covered by ghost
-processes so the simulation clock ends on the same final timestamp as
-the per-line run.
+charged into per-channel write-queue ledgers and covered by ghosts
+(:func:`_hold` entries) so the simulation clock ends on the same final
+timestamp as the per-line run.
 
 Every builder also has a **serial mode** for dependent accesses — the
 microbenchmark's latency phase, where each access runs alone to
@@ -47,6 +47,13 @@ or below the grant, so the existing ``max`` picks reproduce an idle
 pipeline); its raw latency is measured from that grant; and the clock
 lands on the last line's drain end.  A serial train needs a quiescent
 simulator and no live group.
+
+**Command trains** replay a cxl offload command's doorbell handshake
+(:func:`try_command_head`: submit and poll; :func:`try_command_tail`:
+result push and completion read) when the command starts on a quiescent
+simulator.  There the handshake is the only foreground work, so its
+DMC accesses and the posted writes' DMC checks are ordered by their own
+floats and applied at build time.
 """
 
 from __future__ import annotations
@@ -54,11 +61,11 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro import flags
 from repro.core.requests import BiasMode, D2HOp, HostOp
-from repro.devices.dcoh import HOST_BIAS_WRITE_GAP_EXTRA_NS, DcohSlice
+from repro.devices.dcoh import HOST_BIAS_WRITE_GAP_EXTRA_NS
 from repro.errors import DeviceError, SimulationError
 from repro.faults import NO_FAULTS
 from repro.interconnect.cxl import ACK_BYTES, DATA_BYTES, REQ_BYTES
@@ -122,6 +129,26 @@ class _ChannelLedger:
         return e, d
 
 
+class _Ledgers(dict):
+    """A platform's write-queue ledgers, one per memory channel.
+
+    A channel's posted-write queue is one physical queue, so every train
+    and command train replays it through the same ledger.  A ledger
+    whose floats all lie at or before ``now`` behaves like an idle
+    queue, so a ledger outlives the trains that charged it."""
+
+    def __missing__(self, channel: Any) -> _ChannelLedger:
+        ledger = self[channel] = _ChannelLedger(channel)
+        return ledger
+
+
+def _ledgers(p: Any) -> _Ledgers:
+    ledgers = getattr(p, "_bulk_ledgers", None)
+    if ledgers is None:
+        ledgers = p._bulk_ledgers = _Ledgers()
+    return ledgers
+
+
 class _TrainGroup:
     """Ledger shared by all trains departing at one timestamp.
 
@@ -129,14 +156,14 @@ class _TrainGroup:
     a single timestamp; per-line, their children interleave only through
     FIFO resources, so later trains simply *extend* the first train's
     pipeline state.  The group carries that state — window release
-    stream, per-stage free floats, per-channel write-queue ledgers — and
-    the deferred jitter draws of every member train.  A builder reads
-    the floats into locals and writes them back once.
+    stream and per-stage free floats — and the deferred jitter draws of
+    every member train.  A builder reads the floats into locals and
+    writes them back once.
     """
 
     __slots__ = ("key", "t0", "horizon", "count", "drawn", "pending",
-                 "claimed", "win_free", "win_heap", "issue_free", "wp_free",
-                 "up_free", "down_free", "rd_free", "wq")
+                 "owners", "claimed", "win_free", "win_heap", "issue_free",
+                 "wp_free", "up_free", "down_free", "rd_free")
 
     def __init__(self, key: tuple, t0: float, window: int, channels: int):
         self.key = key
@@ -146,6 +173,7 @@ class _TrainGroup:
         self.drawn = False
         # (completion, child index, jitter owner, raw latency, out, slot)
         self.pending: List[tuple] = []
+        self.owners: set = set()      # the member trains' jitter owners
         self.claimed: set = set()
         self.win_free = window
         self.win_heap: List[Tuple[float, int]] = []
@@ -154,13 +182,6 @@ class _TrainGroup:
         self.up_free = 0.0
         self.down_free = 0.0
         self.rd_free = [0.0] * channels    # per channel index
-        self.wq: Dict[Any, _ChannelLedger] = {}
-
-    def wq_for(self, channel: Any) -> _ChannelLedger:
-        ledger = self.wq.get(channel)
-        if ledger is None:
-            ledger = self.wq[channel] = _ChannelLedger(channel)
-        return ledger
 
 
 def _live_group(platform: Any) -> Optional[_TrainGroup]:
@@ -180,8 +201,6 @@ def _static_block_reason(p: Any) -> Optional[str]:
     if getattr(p.sim, "race_detector", None) is not None:
         return "sanitizers"
     dcoh = p.t2.dcoh
-    if type(dcoh) is not DcohSlice:        # DcohArray facade: per-line only
-        return "dcoh-array"
     if dcoh.viral:
         return "viral"
     link = p.t2.port.link
@@ -194,6 +213,12 @@ def _static_block_reason(p: Any) -> Optional[str]:
             or dcoh._poisoned_writebacks):
         return "faults"
     return None
+
+
+def _refuse(reason: str) -> None:
+    """Count a refusal; a disabled fast path is not a fallback."""
+    if reason != "disabled":
+        BULK_STATS.fallback(reason)
 
 
 def _all_idle(resources: List[Any]) -> bool:
@@ -277,22 +302,22 @@ def _wire_ns(lcfg: Any) -> Tuple[float, float, float, float]:
             lcfg.serialization_ns(ACK_BYTES))
 
 
-def _ghost(until: float) -> Generator[Any, Any, None]:
-    """Hold the clock open until batched background work would finish."""
-    yield WakeAt(until)
+def _hold() -> None:
+    """A ghost: scheduled at the time batched background work would
+    finish, it holds the clock open until then and does nothing else."""
 
 
-def _draw(pending: List[tuple]) -> None:
+def _draw(group: _TrainGroup) -> None:
     """Perform a group's deferred jitter draws in completion order.
 
     From :data:`VECTOR_DRAWS` draws of one owner up, a single vector
     draw replaces the scalar ones; it yields the same floats and leaves
     the generator where the scalar draws would."""
+    pending = group.pending
     pending.sort()              # (completion, child index) is unique
     owner = pending[0][2]
-    if (len(pending) >= VECTOR_DRAWS and owner.rng is not None
-            and owner.noise > 0
-            and all(entry[2] is owner for entry in pending)):
+    if (len(pending) >= VECTOR_DRAWS and len(group.owners) == 1
+            and owner.rng is not None and owner.noise > 0):
         drawn = owner.rng.jitter_array([entry[3] for entry in pending],
                                        owner.noise).tolist()
         for (__, __, __, __, out, i), value in zip(pending, drawn):
@@ -314,13 +339,13 @@ def _train(group: _TrainGroup, fore_end: float,
     yield WakeAt(fore_end)
     if not group.drawn:
         group.drawn = True
-        _draw(group.pending)
+        _draw(group)
     return out
 
 
 def _launch(p: Any, group: _TrainGroup, kind: str, addrs: List[int],
             completions: List[float], results: List[float], bg_end: float,
-            serial: bool) -> Generator[Any, Any, List[float]]:
+            serial: bool, owner: Any) -> Generator[Any, Any, List[float]]:
     """Publish a built train and return the generator the caller runs.
 
     A ghost holds the clock open past the foreground end until the
@@ -328,12 +353,13 @@ def _launch(p: Any, group: _TrainGroup, kind: str, addrs: List[int],
     returns its completion times; a serial one returns its jittered
     latencies, as ``[run_process(op(a)) for a in addrs]`` would."""
     group.claimed.update(addrs)
+    group.owners.add(owner)
     fore_end = max(completions)
     if bg_end > group.horizon or fore_end > group.horizon:
         group.horizon = max(group.horizon, fore_end, bg_end)
     p._bulk_group = group
     if bg_end > fore_end:
-        p.sim.spawn(_ghost(bg_end), f"bulk.{group.key[0]}.bg")
+        p.sim.schedule_at(bg_end, _hold)
     BULK_STATS.batch(kind, len(addrs))
     return _train(group, fore_end, results if serial else completions)
 
@@ -355,8 +381,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         return None
     reason = _static_block_reason(p)
     if reason is not None:
-        if reason != "disabled":
-            BULK_STATS.fallback(reason)
+        _refuse(reason)
         return None
     t2 = p.t2
     if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
@@ -444,7 +469,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     at_hmc, at_llc = branch == "hmc", branch == "llc"
     victims: List[int] = []
     hmc_lookup, llc_lookup, llc_insert = hmc.lookup, llc.lookup, llc.insert
-    wq_for = group.wq_for
+    wq = _ledgers(p)
 
     completions = [0.0] * K
     results = [0.0] * K
@@ -515,7 +540,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                     llc.set_state(addr, LineState.INVALID)
                 ch = channels[(addr // CACHELINE) % nch]
                 ch.writes += 1
-                t, d_end = wq_for(ch).write(t)
+                t, d_end = wq[ch].write(t)
                 if d_end > bg_end:
                     bg_end = d_end
             else:                                    # NC_P -> host LLC
@@ -526,7 +551,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                 for victim in victims:               # dirty victim -> DRAM
                     vch = channels[(victim // CACHELINE) % nch]
                     vch.writes += 1
-                    __, d_end = wq_for(vch).write(t)
+                    __, d_end = wq[vch].write(t)
                     if d_end > bg_end:
                         bg_end = d_end
             t = (t if down_free <= t else down_free) + ser_ack
@@ -558,7 +583,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         link.bytes_moved += (REQ_BYTES + DATA_BYTES + ACK_BYTES) * K
     kind = ("d2h-serial/" if serial else "d2h/") + op.value
     return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial)
+                   serial, lsu)
 
 
 # ----------------------------------------------------------------------
@@ -581,12 +606,16 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         return None
     reason = _static_block_reason(p)
     if reason is not None:
-        if reason != "disabled":
-            BULK_STATS.fallback(reason)
+        _refuse(reason)
         return None
     t2 = p.t2
     if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
         BULK_STATS.fallback("foreign-lsu")
+        return None
+    if t2.checks_in_flight:
+        # A per-line H2D access will peek (and may change) a DMC line
+        # later; the replay would apply its DMC work before that.
+        BULK_STATS.fallback("h2d-check")
         return None
     K = len(addrs)
     if len(set(addrs)) != K:
@@ -676,7 +705,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     co_write = op is D2HOp.CO_WRITE
     victims: List[int] = []
     dmc_lookup, dmc_insert = dmc.lookup, dmc.insert
-    wq_for = group.wq_for
+    wq = _ledgers(p)
 
     completions = [0.0] * K
     results = [0.0] * K
@@ -727,7 +756,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                     for victim in victims:       # dirty victim -> dev DRAM
                         vch = channels[(victim // CACHELINE) % nch]
                         vch.writes += 1
-                        __, d_end = wq_for(vch).write(c)
+                        __, d_end = wq[vch].write(c)
                         if d_end > bg_end:
                             bg_end = d_end
         else:
@@ -756,7 +785,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                     for victim in victims:       # dirty victim -> dev DRAM
                         vch = channels[(victim // CACHELINE) % nch]
                         vch.writes += 1
-                        __, d_end = wq_for(vch).write(t)
+                        __, d_end = wq[vch].write(t)
                         if d_end > bg_end:
                             bg_end = d_end
                     t += lookup_ns
@@ -765,7 +794,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                 dmc.invalidate(addr)
                 ch = channels[(addr // CACHELINE) % nch]
                 ch.writes += 1
-                t, d_end = wq_for(ch).write(t)
+                t, d_end = wq[ch].write(t)
                 if d_end > bg_end:
                     bg_end = d_end
                 c = t
@@ -786,7 +815,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         link.bytes_moved += (REQ_BYTES + ACK_BYTES) * K
     kind = ("d2d-serial/" if serial else "d2d/") + op.value
     return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial)
+                   serial, lsu)
 
 
 # ----------------------------------------------------------------------
@@ -807,8 +836,7 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
         return None
     reason = _static_block_reason(p)
     if reason is not None:
-        if reason != "disabled":
-            BULK_STATS.fallback(reason)
+        _refuse(reason)
         return None
     t2 = p.t2
     if device is not t2:
@@ -854,7 +882,7 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     fabric_ns = t2.cfg.h2d_fabric_ns
     check_ns = t2.cfg.h2d_dmc_check_ns
     h2d_touch = t2.bias.h2d_touch
-    wq_for = group.wq_for
+    wq = _ledgers(p)
 
     completions = [0.0] * K
     results = [0.0] * K
@@ -887,7 +915,7 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
         b += check_ns                       # DMC check: miss, no action
         ch = channels[(addr // CACHELINE) % nch]
         ch.writes += 1
-        __, d_end = wq_for(ch).write(b)
+        __, d_end = wq[ch].write(b)
         if d_end > bg_end:
             bg_end = d_end
 
@@ -898,4 +926,335 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
     kind = ("h2d-serial/" if serial else "h2d/") + op.value
     return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial)
+                   serial, core)
+
+
+# ----------------------------------------------------------------------
+# Command trains (the Fig-7 doorbell handshake of one offload command)
+# ----------------------------------------------------------------------
+
+def _ghosts_only(sim: Any) -> bool:
+    """Whether every live entry the simulator holds is a ghost: nothing
+    pending can touch a model, and no resource is held, since a holder
+    is always a pending process.  A long queue is not scanned."""
+    if sim._delta or sim._count > 8:
+        return False
+    dead = sim._dead
+    for bucket in sim._due.values():
+        for seq, fn, __ in bucket:
+            if fn is not _hold and seq not in dead:
+                return False
+    return True
+
+
+def try_command_head(p: Any, db: Any) -> Optional[Tuple[float, float]]:
+    """Replay steps 1-2 of one offload command on doorbell ``db``: the
+    host's two chained nt-st command lines with their posted device
+    writes, and the device's two chained CS-rd poll lines.
+
+    Performs every side effect and returns ``(submitted, polled)``, the
+    times the submit and the poll would have returned per-line, or
+    ``None`` when the command must run per-line (the refusal counted).
+    The caller owns the doorbell bookkeeping and lands on ``polled``.
+
+    Eligibility: the static checks, a quiescent simulator with no live
+    group (so no resource is held), an empty doorbell queue, and no
+    dirty copy of a command line (the snoop's data-pull branch, or the
+    posted write's DMC writeback).  Each posted write invalidates a
+    command line its DMC check finds, so consecutive commands alternate
+    between a polling miss (snoop, device read, fill) and a hit.  Per
+    line, the poll's lookup and fill and the posted write's check and
+    invalidation are ordered by time; an exact tie is refused
+    (``cmd-race``).  An invalidation may land after the poll returns.
+    Applying it now is exact while nothing fills that DMC set first;
+    the offload handlers' first DMC fill after the poll is a d2d
+    read's, so one due at or past the earliest such fill is refused."""
+    reason = _static_block_reason(p)
+    sim = p.sim
+    if reason is None:
+        if not sim.quiescent or _live_group(p) is not None:
+            reason = "cmd-pending"
+        elif len(db._commands) or db._commands._getters:
+            reason = "cmd-queue"
+        elif p.t2.dcoh.dmc.poison_seen:
+            reason = "poison"
+    if reason is not None:
+        _refuse(reason)
+        return None
+    core, t2 = p.core, p.t2
+    dcoh = t2.dcoh
+    dmc = dcoh.dmc
+    lines = db._cmd_lines
+    llc_state = p.home.llc.state_of
+    resident = []
+    for addr in lines:
+        line = dmc.peek(addr)
+        if ((line is not None and line.state is LineState.MODIFIED)
+                or llc_state(addr) is LineState.MODIFIED):
+            BULK_STATS.fallback("cmd-dirty")
+            return None
+        resident.append(line)
+
+    t0 = sim.now
+    lcfg = t2.port.link.cfg
+    ser_req, ser_data_up, __, ser_ack = _wire_ns(lcfg)
+    prop = lcfg.propagation_ns
+    tcfg, hcfg = t2.cfg, core.cfg
+    lsu_issue_ns = t2.lsu.cfg.lsu_issue_ns
+    engine_ns, lookup_ns = tcfg.dcoh.engine_ns, tcfg.dcoh.lookup_ns
+    change_ns = tcfg.h2d_state_change_ns
+    write_ns = dcoh.costs.write_ns
+    channels = t2.dev_mem.channels
+    nch = len(channels)
+    bw_ns = CACHELINE / channels[0].cfg.bytes_per_ns
+    read_ns = channels[0].cfg.read_ns
+
+    # Step 1: chained nt-st lines.  Each retires at the controller
+    # and spawns its posted device write, whose DMC check lands at
+    # ``retired + fabric + check``.
+    retired = []
+    checks = []
+    c = t0
+    for __ in lines:
+        t = c + hcfg.issue_ns
+        t += hcfg.nt_store_post_ns
+        t += ser_data_up
+        c = t + prop
+        retired.append(c)
+        t = c + tcfg.h2d_fabric_ns
+        checks.append(t + tcfg.h2d_dmc_check_ns)
+
+    # The poll: chained CS-rd lines.  ``inval`` is the posted
+    # write's invalidation, None when its check finds the line absent.
+    plan = []
+    q = c
+    for line, check in zip(resident, checks):
+        present = line is not None
+        look = q + lsu_issue_ns
+        look += engine_ns
+        look += lookup_ns
+        inval = None
+        if check <= look:           # the check sees the pre-state
+            if present:
+                inval = check + change_ns
+                if inval == look:
+                    BULK_STATS.fallback("cmd-race")
+                    return None
+            hit = present and inval > look
+        else:
+            hit = present
+        if hit:
+            end = look + lookup_ns
+            if check > look:
+                inval = check + change_ns
+        else:                       # host-bias snoop, device read, fill
+            t = look + ser_req
+            t += prop
+            t += write_ns
+            t += ser_ack
+            t += prop
+            t += bw_ns
+            end = t + read_ns
+            if check > look:        # the check sees the fill if it landed
+                if end == check:
+                    BULK_STATS.fallback("cmd-race")
+                    return None
+                if end < check:
+                    inval = check + change_ns
+        plan.append((q, look, hit, inval, end, check))
+        q = end
+    polled = q
+    # The earliest a d2d read issued when the poll returns can fill the
+    # DMC: a device-bias miss, straight to a device read.
+    earliest_fill = (polled + lsu_issue_ns + engine_ns + lookup_ns
+                     + bw_ns + read_ns)
+    for __, __, __, inval, __, __ in plan:
+        if inval is not None and inval >= earliest_fill:
+            BULK_STATS.fallback("cmd-race")
+            return None
+
+    # -- eligibility proven: apply the side effects in per-line order --
+    n = len(lines)
+    t2.bias.h2d_touch(lines[0])     # one region: later touches are no-ops
+    t2.h2d_writes += n
+    link = t2.port.link
+    link.messages += n
+    link.bytes_moved += n * (REQ_BYTES + DATA_BYTES)
+    start = t0
+    for c in retired:
+        core._jittered(c - start)
+        start = c
+    dcoh.d2d_count += n
+    jittered = t2.lsu._jittered
+    writes = []                     # (arrival, line) of device writes
+    victims: List[int] = []
+    for addr, (q, look, hit, inval, end, check) in zip(lines, plan):
+        if inval is not None and inval < look:
+            dmc.set_state(addr, LineState.INVALID)
+        dmc.lookup(addr)
+        if not hit:
+            link.messages += 2
+            link.bytes_moved += REQ_BYTES + ACK_BYTES
+            channels[(addr // CACHELINE) % nch].reads += 1
+            del victims[:]
+            dmc.insert(addr, LineState.SHARED, writeback=victims.append)
+            writes += [(end, victim) for victim in victims]
+        if inval is not None and inval > look:
+            dmc.set_state(addr, LineState.INVALID)
+        jittered(end - q)
+        writes.append((check if inval is None else inval, addr))
+    # The device writes (posted writes, dirty fill victims) by arrival.
+    writes.sort()
+    wq = _ledgers(p)
+    bg_end = 0.0
+    for arrival, addr in writes:
+        ch = channels[(addr // CACHELINE) % nch]
+        ch.writes += 1
+        __, d_end = wq[ch].write(arrival)
+        if d_end > bg_end:
+            bg_end = d_end
+    if bg_end > polled:
+        sim.schedule_at(bg_end, _hold)
+    BULK_STATS.batch("cmd/submit-poll", 2 * n)
+    return retired[-1], polled
+
+
+def try_command_tail(p: Any, db: Any, tag: int,
+                     push_to_llc: bool) -> Optional[Tuple[float, float]]:
+    """Replay step 5 and the host's wake-up read of command ``tag`` on
+    doorbell ``db``, whose head trained: the device's result line (D2D
+    NC-wr into device memory, or D2H NC-P into the host LLC) and the
+    host's completion load (an H2D ld, or a local LLC load).
+
+    Performs every side effect and returns ``(completed, read)``, the
+    times :meth:`~repro.core.doorbell.Doorbell.device_complete` and the
+    completion read would have returned per-line, or ``None`` (the
+    refusal counted).  The head's static checks still hold, since only
+    a pending process could change them and the head found none.
+    Eligibility: nothing pending but ghosts, any live group drawn, no
+    poison seen in the DMC, and nobody waiting on the doorbell."""
+    sim = p.sim
+    group = _live_group(p)
+    if not _ghosts_only(sim) or (group is not None and not group.drawn):
+        reason = "cmd-pending"
+    elif p.t2.dcoh.dmc.poison_seen:
+        reason = "poison"
+    elif (tag in db._orphans or db._completions._getters
+          or getattr(db._cpl_events.get(tag), "_callbacks", None)
+          is not None):
+        reason = "cmd-queue"
+    else:
+        reason = None
+    if reason is not None:
+        _refuse(reason)
+        return None
+
+    core, t2, home = p.core, p.t2, p.home
+    dcoh, llc = t2.dcoh, home.llc
+    r = db._result_line
+    t1 = sim.now
+    lcfg = t2.port.link.cfg
+    ser_req, ser_data_up, ser_data, ser_ack = _wire_ns(lcfg)
+    prop = lcfg.propagation_ns
+    tcfg, hcfg = t2.cfg, core.cfg
+    link = t2.port.link
+    wq = _ledgers(p)
+    bg_end = 0.0
+    t = t1 + t2.lsu.cfg.lsu_issue_ns
+    t += tcfg.dcoh.engine_ns
+    t += tcfg.dcoh.lookup_ns
+    if push_to_llc:
+        # D2H NC-P: write pipe, data up, home agent, LLC fill, ack down.
+        t += tcfg.dcoh.write_issue_gap_ns
+        t += ser_data_up
+        t += prop
+        t += dcoh.costs.write_ns
+        t += home.cfg.llc_ns
+        filled = t
+        t += ser_ack
+        completed = t + prop
+        # A local LLC load of the line the push just installed.
+        t = completed + hcfg.issue_ns
+        t += hcfg.home_agent_ns
+        t += hcfg.llc_bw_ns_per_line
+        read = t + max(0.0, hcfg.llc_ns - hcfg.llc_bw_ns_per_line)
+
+        dcoh.d2h_count += 1
+        dcoh.hmc.invalidate(r)
+        link.messages += 2
+        link.bytes_moved += REQ_BYTES + DATA_BYTES + ACK_BYTES
+        victims: List[int] = []
+        llc.insert(r, LineState.MODIFIED, writeback=victims.append)
+        channels = home.mem.channels
+        for victim in victims:                 # dirty victim -> DRAM
+            vch = channels[(victim // CACHELINE) % len(channels)]
+            vch.writes += 1
+            __, d_end = wq[vch].write(filled)
+            if d_end > bg_end:
+                bg_end = d_end
+        llc.lookup(r)
+        kind = "cmd/complete-nc-p"
+    else:
+        # D2D NC-wr: write pipe, host-bias snoop, posted device write.
+        # The snoop pulls a dirty host copy (the result line an earlier
+        # command NC-P'd) down into the DMC, where the NC-wr drops it.
+        host_bias = dcoh._bias_of(r) is BiasMode.HOST
+        gap = tcfg.dcoh.write_issue_gap_ns
+        if host_bias:
+            gap += HOST_BIAS_WRITE_GAP_EXTRA_NS
+        t += gap
+        channels = t2.dev_mem.channels
+        nch = len(channels)
+        if host_bias:
+            state = llc.state_of(r)
+            t += ser_req
+            t += prop
+            t += dcoh.costs.write_ns
+            t += ser_data if state.is_dirty else ser_ack
+            t += prop
+            link.messages += 2
+            link.bytes_moved += REQ_BYTES + (DATA_BYTES if state.is_dirty
+                                             else ACK_BYTES)
+            if state.is_valid:
+                llc.set_state(r, LineState.INVALID)
+            if state.is_dirty:
+                victims = []
+                dcoh.dmc.insert(r, LineState.MODIFIED,
+                                writeback=victims.append)
+                for victim in victims:         # dirty victim -> dev DRAM
+                    vch = channels[(victim // CACHELINE) % nch]
+                    vch.writes += 1
+                    __, d_end = wq[vch].write(t)
+                    if d_end > bg_end:
+                        bg_end = d_end
+        ch = channels[(r // CACHELINE) % nch]
+        completed, d_end = wq[ch].write(t)
+        if d_end > bg_end:
+            bg_end = d_end
+        # An H2D ld: request down, fabric, DMC check (the NC-wr left the
+        # line absent), device read, data up.
+        t = completed + hcfg.issue_ns
+        t += ser_req
+        t += prop
+        t += tcfg.h2d_fabric_ns
+        t += tcfg.h2d_dmc_check_ns
+        t += CACHELINE / ch.cfg.bytes_per_ns
+        t += ch.cfg.read_ns
+        t += ser_data
+        read = t + prop
+
+        dcoh.d2d_count += 1
+        dcoh.dmc.invalidate(r)
+        ch.writes += 1
+        t2.h2d_reads += 1
+        t2.bias.h2d_touch(r)
+        ch.reads += 1
+        link.messages += 2
+        link.bytes_moved += REQ_BYTES + DATA_BYTES
+        kind = "cmd/complete-nc-wr"
+    t2.lsu._jittered(completed - t1)
+    core._jittered(read - completed)
+    if bg_end > read:
+        sim.schedule_at(bg_end, _hold)
+    BULK_STATS.batch(kind, 2)
+    return completed, read

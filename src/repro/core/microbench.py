@@ -103,9 +103,10 @@ class Microbench:
             # Latency: dependent accesses, one at a time.
             addrs = self._ordered(fresh(n))
             prepare(addrs)
-            if bulk is not None and not fastpath.quiescent(self.p):
+            if bulk is not None and not sim.quiescent:
                 # prepare() queued writebacks: this access's run drains
-                # them, and the rest can train.
+                # them, and the rest can train (not a ``pending``
+                # fallback: the phase still trains).
                 latencies.append(sim.run_process(make_op(addrs[0])))
                 addrs = addrs[1:]
             train = bulk(addrs, serial=True) if bulk is not None else None

@@ -290,16 +290,11 @@ class OffloadEngine:
         """Fig-7 flow: submit -> poll -> pull || compress || store -> done."""
         sim = self.p.sim
         start = sim.now
-        host_cpu = 0.0
 
-        # Step 1: host nt-sts the command (the only host work besides wake).
-        t0 = sim.now
-        tag = yield from self.doorbell.submit(
+        # Step 1: host nt-sts the command (the only host work besides
+        # wake); one device poll sweep notices it.
+        cmd, host_cpu = yield from self.doorbell.open(
             Command("compress", nbytes=nbytes))
-        host_cpu += sim.now - t0
-
-        # Device: one poll sweep notices the fresh command.
-        cmd = yield from self.doorbell.device_poll(tag)
 
         # Steps 2+4: D2H NC-read pull feeding the streaming compressor,
         # genuinely overlapped: the IP starts on the head of the stream
@@ -325,13 +320,10 @@ class OffloadEngine:
         store_addrs = self._lines(out_bytes, host=False)
         writeback_ns = yield from self._lsu_burst(
             D2HOp.NC_WRITE, store_addrs[:4], d2d=True)
-        yield from self.doorbell.device_complete(
+        # Then the host wakes and reads the completion (one H2D ld).
+        __, host_ns = yield from self.doorbell.close(
             Completion(cmd.tag, result=out_bytes), push_to_llc=False)
-
-        # Host wake-up: read the completion (one H2D ld).
-        t0 = sim.now
-        yield from self.doorbell.read_completion()
-        host_cpu += sim.now - t0
+        host_cpu += host_ns
 
         total = sim.now - start
         return OffloadReport("cxl", "compress", nbytes, out_bytes,
@@ -439,12 +431,8 @@ class OffloadEngine:
         faulting thread's H2D loads hit locally (Insight 4)."""
         sim = self.p.sim
         start = sim.now
-        host_cpu = 0.0
-        t0 = sim.now
-        tag = yield from self.doorbell.submit(
+        cmd, host_cpu = yield from self.doorbell.open(
             Command("decompress", nbytes=in_bytes))
-        host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll(tag)
 
         pull_addrs = self._lines(in_bytes, host=False)
         t0 = sim.now
@@ -462,11 +450,9 @@ class OffloadEngine:
         push_addrs = self._lines(out_bytes, host=True)
         writeback_ns = yield from self._lsu_burst(
             D2HOp.NC_P, push_addrs[:8], d2d=False)
-        yield from self.doorbell.device_complete(
+        __, host_ns = yield from self.doorbell.close(
             Completion(cmd.tag, result=out_bytes), push_to_llc=True)
-        t0 = sim.now
-        yield from self.doorbell.read_completion_from_llc()
-        host_cpu += sim.now - t0
+        host_cpu += host_ns
         total = sim.now - start
         return OffloadReport("cxl", "decompress", in_bytes, out_bytes,
                              transfer_ns, compute_ns, writeback_ns, total,
@@ -553,24 +539,16 @@ class OffloadEngine:
                   value: Any) -> Generator[Any, Any, OffloadReport]:
         sim = self.p.sim
         start = sim.now
-        host_cpu = 0.0
-        t0 = sim.now
-        tag = yield from self.doorbell.submit(
+        cmd, host_cpu = yield from self.doorbell.open(
             Command("hash", nbytes=nbytes))
-        host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll(tag)
         transfer_ns = yield from self._lsu_burst(
             D2HOp.NC_READ, self._lines(nbytes, host=True), d2d=False)
         t0 = sim.now
         yield from self.hasher.process(nbytes)
         compute_ns = sim.now - t0
-        t0 = sim.now
-        yield from self.doorbell.device_complete(
+        writeback_ns, host_ns = yield from self.doorbell.close(
             Completion(cmd.tag, result=value), push_to_llc=True)
-        writeback_ns = sim.now - t0
-        t0 = sim.now
-        yield from self.doorbell.read_completion_from_llc()
-        host_cpu += sim.now - t0
+        host_cpu += host_ns
         total = sim.now - start
         return OffloadReport(
             "cxl", "hash", nbytes, 4, transfer_ns, compute_ns,
@@ -610,12 +588,8 @@ class OffloadEngine:
                      value: Any) -> Generator[Any, Any, OffloadReport]:
         sim = self.p.sim
         start = sim.now
-        host_cpu = 0.0
-        t0 = sim.now
-        tag = yield from self.doorbell.submit(
+        cmd, host_cpu = yield from self.doorbell.open(
             Command("compare", nbytes=volume))
-        host_cpu += sim.now - t0
-        cmd = yield from self.doorbell.device_poll(tag)
         t0 = sim.now
         xfer_proc = sim.spawn(self._lsu_burst(
             D2HOp.NC_READ, self._lines(volume, host=True), d2d=False))
@@ -626,13 +600,9 @@ class OffloadEngine:
         yield compute_done.done
         compute_ns = self.comparator.duration_ns(volume)
         overlap_ns = sim.now - t0
-        t0 = sim.now
-        yield from self.doorbell.device_complete(
+        writeback_ns, host_ns = yield from self.doorbell.close(
             Completion(cmd.tag, result=value), push_to_llc=True)
-        writeback_ns = sim.now - t0
-        t0 = sim.now
-        yield from self.doorbell.read_completion_from_llc()
-        host_cpu += sim.now - t0
+        host_cpu += host_ns
         total = sim.now - start
         return OffloadReport(
             "cxl", "compare", volume, 4,

@@ -93,21 +93,18 @@ class Platform:
     def arm_sanitizers(self, coherence: bool = True, races: bool = True,
                        strict: bool = True) -> None:
         """Arm the coherence sanitizer and/or the sim-time race detector
-        across the platform: the host LLC and every DCOH slice's HMC and
-        DMC.  Idempotent; see :mod:`repro.lint` for the invariants."""
+        across the platform: the host LLC and the DCOH's HMC and DMC.
+        Idempotent; see :mod:`repro.lint` for the invariants."""
         dcoh = self.t2.dcoh
-        slices = getattr(dcoh, "slices", None) or [dcoh]
+        caches = (self.home.llc, dcoh.hmc, dcoh.dmc)
         if coherence and self.coherence_sanitizer is None:
             sanitizer = CoherenceSanitizer(self.sim, strict=strict)
-            sanitizer.watch(self.home.llc)
-            for slice_ in slices:
-                sanitizer.watch(slice_.hmc)
-                sanitizer.watch(slice_.dmc)
+            for cache in caches:
+                sanitizer.watch(cache)
             self.coherence_sanitizer = sanitizer
         if races and self.race_detector is None:
             detector = RaceDetector(self.sim, strict=strict).arm()
-            for cache in [self.home.llc] + [
-                    c for s in slices for c in (s.hmc, s.dmc)]:
+            for cache in caches:
                 cache.race_detector = detector
             self.race_detector = detector
 

@@ -16,7 +16,6 @@ from repro.config import CxlType2Config
 from repro.core.bias import BiasController
 from repro.core.requests import BiasMode, MemLevel
 from repro.devices.dcoh import DcohSlice
-from repro.devices.dcoh_array import DcohArray
 from repro.devices.lsu import LoadStoreUnit
 from repro.host.home_agent import HomeAgent
 from repro.interconnect.cxl import CxlPort
@@ -49,20 +48,17 @@ class CxlType2Device:
         self.regions = AddressMap()
         self.regions.add(Region("devmem", mem_base, mem_size, kind="cxl"))
         self.bias = BiasController(self.regions)
-        slices = [
-            DcohSlice(sim, cfg, self.port, home, self.dev_mem,
-                      bias_of=self.bias.mode_of_addr)
-            for __ in range(max(1, cfg.dcoh.slices))
-        ]
-        # A single slice is exposed directly; multiple slices sit behind
-        # the line-interleaving DcohArray facade (same interface).
-        self.dcoh = slices[0] if len(slices) == 1 else DcohArray(slices)
+        self.dcoh = DcohSlice(sim, cfg, self.port, home, self.dev_mem,
+                              bias_of=self.bias.mode_of_addr)
         self.lsu = LoadStoreUnit(sim, cfg, self.dcoh, rng=rng, noise=noise)
         self._extra_lsus: list[LoadStoreUnit] = []
         # Functional contents of device memory (zpool lives here)
         self.memory = SparseMemory("devmem")
         self.h2d_reads = 0
         self.h2d_writes = 0
+        # H2D accesses whose DMC check is still to come: a batched D2D
+        # replay (repro.core.fastpath) cannot order its DMC work after them.
+        self.checks_in_flight = 0
 
     def lsus(self, count: int) -> list[LoadStoreUnit]:
         """``count`` LSU CAFUs sharing this device's DCOH slice.
@@ -108,8 +104,12 @@ class CxlType2Device:
         """Device-side work for a host load of one device line."""
         self.h2d_reads += 1
         self.bias.h2d_touch(addr)
-        yield Timeout(self.cfg.h2d_fabric_ns)
-        yield from self.dcoh.h2d_check(addr, for_write=False)
+        self.checks_in_flight += 1
+        try:
+            yield Timeout(self.cfg.h2d_fabric_ns)
+            yield from self.dcoh.h2d_check(addr, for_write=False)
+        finally:
+            self.checks_in_flight -= 1
         # DMC never serves the host: device memory is always accessed.
         yield from self.dev_mem.read_line(addr)
         return MemLevel.DEV_DRAM
@@ -118,8 +118,12 @@ class CxlType2Device:
         """Device-side work for a host store of one device line."""
         self.h2d_writes += 1
         self.bias.h2d_touch(addr)
-        yield Timeout(self.cfg.h2d_fabric_ns)
-        yield from self.dcoh.h2d_check(addr, for_write=True)
+        self.checks_in_flight += 1
+        try:
+            yield Timeout(self.cfg.h2d_fabric_ns)
+            yield from self.dcoh.h2d_check(addr, for_write=True)
+        finally:
+            self.checks_in_flight -= 1
         yield from self.dev_mem.write_line(addr)
         return MemLevel.DEV_DRAM
 

@@ -9,7 +9,11 @@ experiment outputs both ways.
 
 :data:`BULK_STATS` is a process-global counter block surfaced by
 ``repro speed`` — how many trains ran, how many lines they carried, and
-why prospective trains fell back to the per-line path.
+why prospective trains fell back to the per-line path.  A kind names
+the train family and op (``d2h/nc-rd``, ``d2d-serial/cs-rd``,
+``h2d/nt-st``) or a command train's half (``cmd/submit-poll``,
+``cmd/complete-nc-wr``, ``cmd/complete-nc-p``); ``docs/API.md`` lists
+every kind and fallback reason.
 """
 
 from __future__ import annotations

@@ -93,8 +93,10 @@ CHECKPOINT_STATS = CheckpointStats()
 # different schema instead of failing somewhere deep inside pickle.
 # Bump it whenever a pickled engine class changes its slots (/2: the
 # timer wheel's far levels became one far heap; /3: caches gained
-# ``poison_seen``; /4: the timer wheel became one bucket per deadline).
-_FILE_MAGIC = b"repro-checkpoint/4\n"
+# ``poison_seen``; /4: the timer wheel became one bucket per deadline;
+# /5: the Type-2 device gained ``checks_in_flight`` and the bulk train
+# groups' write-queue ledgers moved onto the platform).
+_FILE_MAGIC = b"repro-checkpoint/5\n"
 
 
 def _ambient_state() -> Dict[str, Any]:

@@ -130,6 +130,18 @@ def test_microbench_identical_bulk_off_and_on(name):
     assert any("-serial/" in kind for kind in stats["batches"]), stats
 
 
+def test_pending_counts_only_phases_that_run_per_line():
+    """A latency phase whose first access drains queued writebacks still
+    trains the rest, so it is no fallback: ``pending`` counts exactly
+    the bandwidth phases that ran per-line (2 scenarios x 3 reps, less
+    those that trained)."""
+    __, __, stats = _both(lambda: _micro(_co_wr_then_nc_wr))
+    batches = stats["batches"]
+    assert batches["d2d-serial/co-wr"] == batches["d2d-serial/nc-wr"] == 3
+    trained = batches.get("d2d/co-wr", 0) + batches.get("d2d/nc-wr", 0)
+    assert stats["fallbacks"] == {"pending": 6 - trained}, stats
+
+
 def test_queued_writebacks_demote_microbench_trains():
     __, __, stats = _both(lambda: _micro(_co_wr_then_nc_wr))
     assert stats["fallbacks"].get("pending", 0) > 0, stats

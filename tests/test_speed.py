@@ -17,7 +17,8 @@ def payload():
         speed.ENGINE_BENCHES["timeouts"] = \
             lambda: speed.bench_timeouts(n_procs=5, steps=20)
         speed.EXPERIMENT_BENCHES.clear()
-        speed.EXPERIMENT_BENCHES["table3"] = experiments["table3"]
+        speed.EXPERIMENT_BENCHES["fig6_cxl_ldst"] = \
+            experiments["fig6_cxl_ldst"]
         yield_payload = speed.measure(rounds=1)
     finally:
         speed.ENGINE_BENCHES.clear()
@@ -30,13 +31,13 @@ def payload():
 def test_measure_schema(payload):
     assert payload["schema"] == speed.SCHEMA
     assert payload["engine"]["timeouts"]["events_per_sec"] > 0
-    assert payload["experiments"]["table3"]["wall_s"] > 0
+    assert payload["experiments"]["fig6_cxl_ldst"]["wall_s"] > 0
     assert payload["peak_rss_kb"] > 0
 
 
 def test_render_mentions_every_bench(payload):
     text = speed.render(payload)
-    assert "timeouts" in text and "table3" in text and "RSS" in text
+    assert "timeouts" in text and "fig6_cxl_ldst" in text and "RSS" in text
 
 
 def test_write_json_round_trips(payload, tmp_path):
