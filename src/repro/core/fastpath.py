@@ -19,23 +19,27 @@ Bit-exactness rests on three pillars:
   IEEE double;
 * **eligibility, not hope** — a train engages only when the pre-scan
   *proves* homogeneity: bulk enabled, no armed faults or sanitizers, no
-  poison in flight, all shared resources idle (or already owned by a
-  same-timestamp train group), distinct addresses, and one uniform
-  branch through the coherence machinery for every line.  Anything else
-  falls back to the per-line path and is counted in
+  poison in flight, no other train's replay in flight, all shared
+  resources idle, distinct addresses, and one uniform branch through
+  the coherence machinery for every line.  Anything else falls back to
+  the per-line path and is counted in
   :data:`~repro.sim.bulk.BULK_STATS`;
 * **deferred noise draws** — per-line latency jitter is drawn at each
-  line's completion.  Trains sharing a start timestamp (the pipelined
-  ``depth`` transfers of Fig 6) register draws into a shared group; the
-  first train to resume performs them all in global completion order,
-  preserving the RNG stream exactly.  From :data:`VECTOR_DRAWS` draws
-  up, they are one vector draw, which equals the successive scalar
-  draws element for element and leaves the same generator state.
+  line's completion.  A train performs its lines' draws when it
+  resumes, in completion order; nothing else draws from the owner's
+  stream inside the train's window, so the RNG stream is preserved
+  exactly.  From :data:`VECTOR_DRAWS` draws up, they are one vector
+  draw, which equals the successive scalar draws element for element
+  and leaves the same generator state.
+
+A train is one caller's whole stream: a caller with several transfers
+in flight at once (Fig 6's pipelined ``depth``) hands them over as one
+stream of lines.
 
 Background work (posted-write drains, dirty-victim writebacks) is
-charged into per-channel write-queue ledgers and covered by ghosts
-(:func:`_hold` entries) so the simulation clock ends on the same final
-timestamp as the per-line run.
+posted to per-channel write-queue ledgers (:meth:`_Ledgers.post`) and
+covered by ghosts (:func:`_hold` entries) so the simulation clock ends
+on the same final timestamp as the per-line run.
 
 Every builder also has a **serial mode** for dependent accesses — the
 microbenchmark's latency phase, where each access runs alone to
@@ -46,7 +50,7 @@ a window slot (every stage-free float and write-queue entry is then at
 or below the grant, so the existing ``max`` picks reproduce an idle
 pipeline); its raw latency is measured from that grant; and the clock
 lands on the last line's drain end.  A serial train needs a quiescent
-simulator and no live group.
+simulator too.
 
 **Command trains** replay a cxl offload command's doorbell handshake
 (:func:`try_command_head`: submit and poll; :func:`try_command_tail`:
@@ -78,7 +82,7 @@ from repro.units import CACHELINE
 # Below this, per-line cost is negligible and a train buys nothing.
 MIN_TRAIN_LINES = 2
 
-# Deferred draws from which a group draws its jitter as one vector.
+# Deferred draws from which a train draws its jitter as one vector.
 # Measured on a 2-vCPU x86-64 host (CPython 3.11, numpy Generator):
 # scalar draws cost 6.7 us for 4, 13 us for 10 and 112 us for 64; the
 # vector draw costs 14-16 us up to 10 and 22 us for 64.  They cross
@@ -135,61 +139,58 @@ class _Ledgers(dict):
     A channel's posted-write queue is one physical queue, so every train
     and command train replays it through the same ledger.  A ledger
     whose floats all lie at or before ``now`` behaves like an idle
-    queue, so a ledger outlives the trains that charged it."""
+    queue, so a ledger outlives the trains that charged it.  ``end`` is
+    the latest drain end the replay being built has posted: the time
+    its ghost holds the clock to, and a serial line's grant."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.end = 0.0
 
     def __missing__(self, channel: Any) -> _ChannelLedger:
         ledger = self[channel] = _ChannelLedger(channel)
         return ledger
 
+    def post(self, channels: List[Any], addr: int, arrival: float) -> float:
+        """Post a write of line ``addr`` to its channel of ``channels`` at
+        ``arrival``: count it, replay the channel's queue and keep the
+        running drain end.  Returns the enqueue end."""
+        ch = channels[(addr // CACHELINE) % len(channels)]
+        ch.writes += 1
+        e, d = self[ch].write(arrival)
+        if d > self.end:
+            self.end = d
+        return e
 
-def _ledgers(p: Any) -> _Ledgers:
+
+def _ledgers(p: Any, now: float) -> _Ledgers:
+    """``p``'s ledgers, opened for a replay that starts at ``now``."""
     ledgers = getattr(p, "_bulk_ledgers", None)
     if ledgers is None:
         ledgers = p._bulk_ledgers = _Ledgers()
+    ledgers.end = now
     return ledgers
 
 
-class _TrainGroup:
-    """Ledger shared by all trains departing at one timestamp.
+class _LiveTrain:
+    """The train whose replay is in flight.
 
-    Fig 6's bandwidth phase spawns ``depth`` whole-transfer processes at
-    a single timestamp; per-line, their children interleave only through
-    FIFO resources, so later trains simply *extend* the first train's
-    pipeline state.  The group carries that state — window release
-    stream and per-stage free floats — and the deferred jitter draws of
-    every member train.  A builder reads the floats into locals and
-    writes them back once.
-    """
+    Until ``horizon``, its last foreground or background end, the
+    replay's arithmetic holds every resource its lines queue on.
+    ``drawn`` turns true once the train has drawn its lines' jitter."""
 
-    __slots__ = ("key", "t0", "horizon", "count", "drawn", "pending",
-                 "owners", "claimed", "win_free", "win_heap", "issue_free",
-                 "wp_free", "up_free", "down_free", "rd_free")
+    __slots__ = ("horizon", "drawn")
 
-    def __init__(self, key: tuple, t0: float, window: int, channels: int):
-        self.key = key
-        self.t0 = t0
-        self.horizon = t0
-        self.count = 0                # global child index across trains
+    def __init__(self, horizon: float):
+        self.horizon = horizon
         self.drawn = False
-        # (completion, child index, jitter owner, raw latency, out, slot)
-        self.pending: List[tuple] = []
-        self.owners: set = set()      # the member trains' jitter owners
-        self.claimed: set = set()
-        self.win_free = window
-        self.win_heap: List[Tuple[float, int]] = []
-        self.issue_free = 0.0
-        self.wp_free = 0.0
-        self.up_free = 0.0
-        self.down_free = 0.0
-        self.rd_free = [0.0] * channels    # per channel index
 
 
-def _live_group(platform: Any) -> Optional[_TrainGroup]:
-    group = getattr(platform, "_bulk_group", None)
-    if group is not None and platform.sim.now >= group.horizon:
-        platform._bulk_group = None
-        group = None
-    return group
+def _live_train(p: Any) -> Optional[_LiveTrain]:
+    live = getattr(p, "_bulk_train", None)
+    if live is not None and p.sim.now >= live.horizon:
+        p._bulk_train = live = None
+    return live
 
 
 def _static_block_reason(p: Any) -> Optional[str]:
@@ -243,20 +244,20 @@ def quiescent(p: Any) -> bool:
     return False
 
 
-def _refusal(p: Any, key: tuple, addrs: List[int], serial: bool,
+def _refusal(p: Any, addrs: List[int], serial: bool,
              resources: Callable[[], List[Any]]) -> Optional[str]:
-    """Why a train keyed ``key`` may not start now, or None.
+    """Why no line train over ``addrs`` may start now, or None.
 
-    A pipelined train extends the live group of its timestamp and key,
-    or opens a fresh group over idle ``resources``.  A serial train
-    always opens a fresh group and needs a quiescent simulator too."""
-    group = _live_group(p)
-    if group is not None:
-        if serial or group.t0 != p.sim.now or group.key != key:
-            return "group-overlap"
-        if any(a in group.claimed for a in addrs):
-            return "addr-overlap"
-        return None
+    The checks every line builder shares: the static checks, distinct
+    addresses, no other train's replay in flight, a quiescent simulator
+    for a serial train, and every shared ``resources`` idle."""
+    reason = _static_block_reason(p)
+    if reason is not None:
+        return reason
+    if len(set(addrs)) != len(addrs):
+        return "dup-addrs"
+    if _live_train(p) is not None:
+        return "busy"
     if serial and not p.sim.quiescent:
         return "pending"
     if not _all_idle(resources()):
@@ -307,61 +308,51 @@ def _hold() -> None:
     finish, it holds the clock open until then and does nothing else."""
 
 
-def _draw(group: _TrainGroup) -> None:
-    """Perform a group's deferred jitter draws in completion order.
+def _draw(owner: Any, completions: List[float], raws: List[float]) -> None:
+    """Replace a train's raw latencies by their jittered values, drawn
+    from ``owner`` in (completion, line index) order.
 
-    From :data:`VECTOR_DRAWS` draws of one owner up, a single vector
-    draw replaces the scalar ones; it yields the same floats and leaves
-    the generator where the scalar draws would."""
-    pending = group.pending
-    pending.sort()              # (completion, child index) is unique
-    owner = pending[0][2]
-    if (len(pending) >= VECTOR_DRAWS and len(group.owners) == 1
-            and owner.rng is not None and owner.noise > 0):
-        drawn = owner.rng.jitter_array([entry[3] for entry in pending],
+    From :data:`VECTOR_DRAWS` draws up, a single vector draw replaces
+    the scalar ones; it yields the same floats and leaves the generator
+    where the scalar draws would."""
+    order = sorted(range(len(raws)), key=completions.__getitem__)
+    if (len(order) >= VECTOR_DRAWS and owner.rng is not None
+            and owner.noise > 0):
+        drawn = owner.rng.jitter_array([raws[k] for k in order],
                                        owner.noise).tolist()
-        for (__, __, __, __, out, i), value in zip(pending, drawn):
-            out[i] = value
+        for k, value in zip(order, drawn):
+            raws[k] = value
     else:
-        for __, __, who, raw, out, i in pending:
-            out[i] = who._jittered(raw)
+        for k in order:
+            raws[k] = owner._jittered(raws[k])
 
 
-def _train(group: _TrainGroup, fore_end: float,
-           out: List[float]) -> Generator[Any, Any, List[float]]:
-    """The generator handed back to the per-line call site.
-
-    Lands on the train's foreground end; the first member of the group
-    to resume performs every deferred jitter draw in global completion
-    order (nothing else consumes those RNG streams inside the group's
-    window, so the stream order matches the per-line run exactly).
-    """
+def _train(live: _LiveTrain, owner: Any, fore_end: float,
+           completions: List[float], raws: List[float],
+           serial: bool) -> Generator[Any, Any, List[float]]:
+    """The generator handed back to the per-line call site: it lands on
+    the train's foreground end, then performs the deferred draws."""
     yield WakeAt(fore_end)
-    if not group.drawn:
-        group.drawn = True
-        _draw(group)
-    return out
+    live.drawn = True
+    _draw(owner, completions, raws)
+    return raws if serial else completions
 
 
-def _launch(p: Any, group: _TrainGroup, kind: str, addrs: List[int],
-            completions: List[float], results: List[float], bg_end: float,
-            serial: bool, owner: Any) -> Generator[Any, Any, List[float]]:
+def _launch(p: Any, kind: str, owner: Any, completions: List[float],
+            raws: List[float], bg_end: float,
+            serial: bool) -> Generator[Any, Any, List[float]]:
     """Publish a built train and return the generator the caller runs.
 
     A ghost holds the clock open past the foreground end until the
-    background work the train charged would drain.  A pipelined train
+    background work the train posted would drain.  A pipelined train
     returns its completion times; a serial one returns its jittered
     latencies, as ``[run_process(op(a)) for a in addrs]`` would."""
-    group.claimed.update(addrs)
-    group.owners.add(owner)
     fore_end = max(completions)
-    if bg_end > group.horizon or fore_end > group.horizon:
-        group.horizon = max(group.horizon, fore_end, bg_end)
-    p._bulk_group = group
+    live = p._bulk_train = _LiveTrain(max(fore_end, bg_end))
     if bg_end > fore_end:
         p.sim.schedule_at(bg_end, _hold)
-    BULK_STATS.batch(kind, len(addrs))
-    return _train(group, fore_end, results if serial else completions)
+    BULK_STATS.batch(kind, len(completions))
+    return _train(live, owner, fore_end, completions, raws, serial)
 
 
 # ----------------------------------------------------------------------
@@ -379,30 +370,18 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     per-line)."""
     if op not in _D2H_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
-    reason = _static_block_reason(p)
+    t2 = p.t2
+    dcoh, home = t2.dcoh, p.home
+    hmc, llc = dcoh.hmc, home.llc
+    channels = home.mem.channels
+    reason = _refusal(p, addrs, serial,
+                      lambda: _lsu_resources(p, "d2h", channels))
+    if reason is None and (lsu is not t2.lsu or lsu.dcoh is not dcoh):
+        reason = "foreign-lsu"
     if reason is not None:
         _refuse(reason)
         return None
-    t2 = p.t2
-    if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
-        BULK_STATS.fallback("foreign-lsu")
-        return None
     K = len(addrs)
-    if len(set(addrs)) != K:
-        BULK_STATS.fallback("dup-addrs")
-        return None
-
-    sim = p.sim
-    t0 = sim.now
-    dcoh, home = t2.dcoh, p.home
-    hmc, llc, mem = dcoh.hmc, home.llc, home.mem
-    key = ("d2h", op)
-
-    reason = _refusal(p, key, addrs, serial,
-                      lambda: _lsu_resources(p, "d2h", mem.channels))
-    if reason is not None:
-        BULK_STATS.fallback(reason)
-        return None
 
     # -- branch pre-scan: every line must take one uniform path ---------
     in_hmc, poisoned = hmc.residency(addrs)
@@ -440,18 +419,14 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         # times stay monotone across channels (no cross-channel
         # reordering at the shared ack wire).
         if (not serial
-                and K > mem.channels[0].cfg.write_queue_entries):
+                and K > channels[0].cfg.write_queue_entries):
             BULK_STATS.fallback("wq-depth")
             return None
     else:                                   # NC_P
         branch = "push"
 
     # -- eligibility proven: build the train ----------------------------
-    channels = mem.channels
     nch = len(channels)
-    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding,
-                                          nch)
-
     lcfg = t2.port.link.cfg
     ser_req, ser_data_up, ser_data_down, ser_ack = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
@@ -469,21 +444,18 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     at_hmc, at_llc = branch == "hmc", branch == "llc"
     victims: List[int] = []
     hmc_lookup, llc_lookup, llc_insert = hmc.lookup, llc.lookup, llc.insert
-    wq = _ledgers(p)
 
+    t0 = c = p.sim.now
+    wq = _ledgers(p, t0)
     completions = [0.0] * K
-    results = [0.0] * K
-    bg_end = 0.0
-    c = t0
-    win_free, win_heap = group.win_free, group.win_heap
-    issue_free, wp_free = group.issue_free, group.wp_free
-    up_free, down_free = group.up_free, group.down_free
-    rd_free, pending = group.rd_free, group.pending
-    gi = group.count
+    raws = [0.0] * K
+    win_free, win_heap = lsu.cfg.lsu_outstanding, []
+    issue_free = wp_free = up_free = down_free = 0.0
+    rd_free = [0.0] * nch           # per channel index
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
-            g = c if bg_end <= c else bg_end
+            g = c if wq.end <= c else wq.end
         elif win_free:              # window admission: a free slot now,
             win_free -= 1
             g = t0
@@ -538,34 +510,22 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                 if at_llc:
                     t += llc_ns
                     llc.set_state(addr, LineState.INVALID)
-                ch = channels[(addr // CACHELINE) % nch]
-                ch.writes += 1
-                t, d_end = wq[ch].write(t)
-                if d_end > bg_end:
-                    bg_end = d_end
+                t = wq.post(channels, addr, t)
             else:                                    # NC_P -> host LLC
                 t += llc_ns
                 del victims[:]
                 llc_insert(addr, LineState.MODIFIED,
                            writeback=victims.append)
                 for victim in victims:               # dirty victim -> DRAM
-                    vch = channels[(victim // CACHELINE) % nch]
-                    vch.writes += 1
-                    __, d_end = wq[vch].write(t)
-                    if d_end > bg_end:
-                        bg_end = d_end
+                    wq.post(channels, victim, t)
             t = (t if down_free <= t else down_free) + ser_ack
             down_free = t
             t += prop
             c = t
         completions[k] = c
-        heappush(win_heap, (c, gi))
-        pending.append((c, gi, lsu, c - (g if serial else t0), results, k))
-        gi += 1
+        heappush(win_heap, (c, k))
+        raws[k] = c - (g if serial else t0)
 
-    group.win_free, group.count = win_free, gi
-    group.issue_free, group.wp_free = issue_free, wp_free
-    group.up_free, group.down_free = up_free, down_free
     # Caches the pre-scan proved every line misses are not looked up
     # per line: a miss has no LRU effect, only its count.
     if is_read and not at_hmc:
@@ -582,8 +542,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         link.messages += 2 * K
         link.bytes_moved += (REQ_BYTES + DATA_BYTES + ACK_BYTES) * K
     kind = ("d2h-serial/" if serial else "d2h/") + op.value
-    return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial, lsu)
+    return _launch(p, kind, lsu, completions, raws, wq.end, serial)
 
 
 # ----------------------------------------------------------------------
@@ -604,28 +563,23 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     :func:`try_lsu_train`."""
     if op not in _D2D_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
-    reason = _static_block_reason(p)
+    t2 = p.t2
+    dcoh = t2.dcoh
+    dmc, llc = dcoh.dmc, p.home.llc
+    channels = t2.dev_mem.channels
+    reason = _refusal(p, addrs, serial,
+                      lambda: _lsu_resources(p, "d2d", channels))
+    if reason is None:
+        if lsu is not t2.lsu or lsu.dcoh is not dcoh:
+            reason = "foreign-lsu"
+        elif t2.checks_in_flight:
+            # A per-line H2D access will peek (and may change) a DMC
+            # line later; the replay would apply its DMC work before that.
+            reason = "h2d-check"
     if reason is not None:
         _refuse(reason)
         return None
-    t2 = p.t2
-    if lsu is not t2.lsu or lsu.dcoh is not t2.dcoh:
-        BULK_STATS.fallback("foreign-lsu")
-        return None
-    if t2.checks_in_flight:
-        # A per-line H2D access will peek (and may change) a DMC line
-        # later; the replay would apply its DMC work before that.
-        BULK_STATS.fallback("h2d-check")
-        return None
     K = len(addrs)
-    if len(set(addrs)) != K:
-        BULK_STATS.fallback("dup-addrs")
-        return None
-
-    sim = p.sim
-    t0 = sim.now
-    dcoh = t2.dcoh
-    dmc, llc, dev = dcoh.dmc, p.home.llc, t2.dev_mem
     # One bias region spanning the whole train settles every line's
     # mode at once; otherwise ask line by line.
     bias = (t2.bias.mode_of_span(min(addrs), max(addrs))
@@ -641,13 +595,6 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
             return None
         bias = biases.pop()
     host_bias = bias is BiasMode.HOST
-    key = ("d2d", op, host_bias)
-
-    reason = _refusal(p, key, addrs, serial,
-                      lambda: _lsu_resources(p, "d2d", dev.channels))
-    if reason is not None:
-        BULK_STATS.fallback(reason)
-        return None
 
     # -- branch pre-scan: one uniform path for every line ---------------
     in_dmc, poisoned = dmc.residency(addrs)
@@ -681,11 +628,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         return None
 
     # -- eligibility proven: build the train ----------------------------
-    channels = dev.channels
     nch = len(channels)
-    group = _live_group(p) or _TrainGroup(key, t0, lsu.cfg.lsu_outstanding,
-                                          nch)
-
     lcfg = t2.port.link.cfg
     ser_req, __, __, ser_ack = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
@@ -705,21 +648,18 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     co_write = op is D2HOp.CO_WRITE
     victims: List[int] = []
     dmc_lookup, dmc_insert = dmc.lookup, dmc.insert
-    wq = _ledgers(p)
 
+    t0 = c = p.sim.now
+    wq = _ledgers(p, t0)
     completions = [0.0] * K
-    results = [0.0] * K
-    bg_end = 0.0
-    c = t0
-    win_free, win_heap = group.win_free, group.win_heap
-    issue_free, wp_free = group.issue_free, group.wp_free
-    up_free, down_free = group.up_free, group.down_free
-    rd_free, pending = group.rd_free, group.pending
-    gi = group.count
+    raws = [0.0] * K
+    win_free, win_heap = lsu.cfg.lsu_outstanding, []
+    issue_free = wp_free = up_free = down_free = 0.0
+    rd_free = [0.0] * nch           # per channel index
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
-            g = c if bg_end <= c else bg_end
+            g = c if wq.end <= c else wq.end
         elif win_free:              # window admission: a free slot now,
             win_free -= 1
             g = t0
@@ -754,11 +694,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                     del victims[:]
                     dmc_insert(addr, fill_state, writeback=victims.append)
                     for victim in victims:       # dirty victim -> dev DRAM
-                        vch = channels[(victim // CACHELINE) % nch]
-                        vch.writes += 1
-                        __, d_end = wq[vch].write(c)
-                        if d_end > bg_end:
-                            bg_end = d_end
+                        wq.post(channels, victim, c)
         else:
             t = (t if wp_free <= t else wp_free) + gap_ns
             wp_free = t
@@ -783,29 +719,16 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                     dmc_insert(addr, LineState.MODIFIED,
                                writeback=victims.append)
                     for victim in victims:       # dirty victim -> dev DRAM
-                        vch = channels[(victim // CACHELINE) % nch]
-                        vch.writes += 1
-                        __, d_end = wq[vch].write(t)
-                        if d_end > bg_end:
-                            bg_end = d_end
+                        wq.post(channels, victim, t)
                     t += lookup_ns
                 c = t
             else:                                # NC_WRITE: posted to DRAM
                 dmc.invalidate(addr)
-                ch = channels[(addr // CACHELINE) % nch]
-                ch.writes += 1
-                t, d_end = wq[ch].write(t)
-                if d_end > bg_end:
-                    bg_end = d_end
-                c = t
+                c = wq.post(channels, addr, t)
         completions[k] = c
-        heappush(win_heap, (c, gi))
-        pending.append((c, gi, lsu, c - (g if serial else t0), results, k))
-        gi += 1
+        heappush(win_heap, (c, k))
+        raws[k] = c - (g if serial else t0)
 
-    group.win_free, group.count = win_free, gi
-    group.issue_free, group.wp_free = issue_free, wp_free
-    group.up_free, group.down_free = up_free, down_free
     if is_read and not at_dmc:      # proven misses: counted, not looked up
         dmc.misses += K
     dcoh.d2d_count += K
@@ -814,8 +737,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         link.messages += 2 * K
         link.bytes_moved += (REQ_BYTES + ACK_BYTES) * K
     kind = ("d2d-serial/" if serial else "d2d/") + op.value
-    return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial, lsu)
+    return _launch(p, kind, lsu, completions, raws, wq.end, serial)
 
 
 # ----------------------------------------------------------------------
@@ -834,46 +756,28 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     ``None`` (per-line).  ``serial`` as for :func:`try_lsu_train`."""
     if op is not HostOp.NT_STORE or len(addrs) < MIN_TRAIN_LINES:
         return None
-    reason = _static_block_reason(p)
-    if reason is not None:
-        _refuse(reason)
-        return None
     t2 = p.t2
-    if device is not t2:
-        BULK_STATS.fallback("h2d-target")
-        return None
-    K = len(addrs)
-    if len(set(addrs)) != K:
-        BULK_STATS.fallback("dup-addrs")
-        return None
-
-    sim = p.sim
-    t0 = sim.now
-    dcoh = t2.dcoh
-    dev_mem = t2.dev_mem
-    key = ("h2d", op)
+    channels = t2.dev_mem.channels
     window = core._win[("cxl", op)]
 
     def resources() -> List[Any]:
         out = [window, t2.port.link._wires[Direction.TO_DEVICE]]
-        for ch in dev_mem.channels:
+        for ch in channels:
             out += [ch._wq, ch._drain]
         return out
 
-    reason = _refusal(p, key, addrs, serial, resources)
+    reason = _refusal(p, addrs, serial, resources)
+    if reason is None:
+        if device is not t2:
+            reason = "h2d-target"
+        elif t2.dcoh.dmc.residency(addrs)[0]:
+            # A resident DMC line takes a coherence-state branch per line.
+            reason = "dmc-state"
     if reason is not None:
-        BULK_STATS.fallback(reason)
+        _refuse(reason)
         return None
 
-    # Any resident DMC line takes a coherence-state branch per line.
-    if dcoh.dmc.residency(addrs)[0]:
-        BULK_STATS.fallback("dmc-state")
-        return None
-
-    channels = dev_mem.channels
-    nch = len(channels)
-    group = _live_group(p) or _TrainGroup(key, t0, window.capacity, nch)
-
+    K = len(addrs)
     lcfg = t2.port.link.cfg
     __, ser_data, __, __ = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
@@ -882,19 +786,17 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     fabric_ns = t2.cfg.h2d_fabric_ns
     check_ns = t2.cfg.h2d_dmc_check_ns
     h2d_touch = t2.bias.h2d_touch
-    wq = _ledgers(p)
 
+    t0 = c = p.sim.now
+    wq = _ledgers(p, t0)
     completions = [0.0] * K
-    results = [0.0] * K
-    bg_end = 0.0
-    c = t0
-    win_free, win_heap = group.win_free, group.win_heap
-    down_free, pending = group.down_free, group.pending
-    gi = group.count
+    raws = [0.0] * K
+    win_free, win_heap = window.capacity, []
+    down_free = 0.0
 
     for k, addr in enumerate(addrs):
         if serial:                  # the previous line's drain end
-            g = c if bg_end <= c else bg_end
+            g = c if wq.end <= c else wq.end
         elif win_free:              # window admission: a free slot now,
             win_free -= 1
             g = t0
@@ -906,27 +808,20 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
         down_free = t
         c = t + prop                        # retires at the controller
         completions[k] = c
-        heappush(win_heap, (c, gi))
-        pending.append((c, gi, core, c - (g if serial else t0), results, k))
-        gi += 1
+        heappush(win_heap, (c, k))
+        raws[k] = c - (g if serial else t0)
         # Background: the posted device-side write spawned at c.
         h2d_touch(addr)
         b = c + fabric_ns
         b += check_ns                       # DMC check: miss, no action
-        ch = channels[(addr // CACHELINE) % nch]
-        ch.writes += 1
-        __, d_end = wq[ch].write(b)
-        if d_end > bg_end:
-            bg_end = d_end
+        wq.post(channels, addr, b)
 
-    group.win_free, group.count, group.down_free = win_free, gi, down_free
     t2.h2d_writes += K
     link = t2.port.link
     link.messages += K
     link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
     kind = ("h2d-serial/" if serial else "h2d/") + op.value
-    return _launch(p, group, kind, addrs, completions, results, bg_end,
-                   serial, core)
+    return _launch(p, kind, core, completions, raws, wq.end, serial)
 
 
 # ----------------------------------------------------------------------
@@ -958,7 +853,7 @@ def try_command_head(p: Any, db: Any) -> Optional[Tuple[float, float]]:
     The caller owns the doorbell bookkeeping and lands on ``polled``.
 
     Eligibility: the static checks, a quiescent simulator with no live
-    group (so no resource is held), an empty doorbell queue, and no
+    train (so no resource is held), an empty doorbell queue, and no
     dirty copy of a command line (the snoop's data-pull branch, or the
     posted write's DMC writeback).  Each posted write invalidates a
     command line its DMC check finds, so consecutive commands alternate
@@ -972,7 +867,7 @@ def try_command_head(p: Any, db: Any) -> Optional[Tuple[float, float]]:
     reason = _static_block_reason(p)
     sim = p.sim
     if reason is None:
-        if not sim.quiescent or _live_group(p) is not None:
+        if not sim.quiescent or _live_train(p) is not None:
             reason = "cmd-pending"
         elif len(db._commands) or db._commands._getters:
             reason = "cmd-queue"
@@ -1105,16 +1000,11 @@ def try_command_head(p: Any, db: Any) -> Optional[Tuple[float, float]]:
         writes.append((check if inval is None else inval, addr))
     # The device writes (posted writes, dirty fill victims) by arrival.
     writes.sort()
-    wq = _ledgers(p)
-    bg_end = 0.0
+    wq = _ledgers(p, t0)
     for arrival, addr in writes:
-        ch = channels[(addr // CACHELINE) % nch]
-        ch.writes += 1
-        __, d_end = wq[ch].write(arrival)
-        if d_end > bg_end:
-            bg_end = d_end
-    if bg_end > polled:
-        sim.schedule_at(bg_end, _hold)
+        wq.post(channels, addr, arrival)
+    if wq.end > polled:
+        sim.schedule_at(wq.end, _hold)
     BULK_STATS.batch("cmd/submit-poll", 2 * n)
     return retired[-1], polled
 
@@ -1131,11 +1021,11 @@ def try_command_tail(p: Any, db: Any, tag: int,
     completion read would have returned per-line, or ``None`` (the
     refusal counted).  The head's static checks still hold, since only
     a pending process could change them and the head found none.
-    Eligibility: nothing pending but ghosts, any live group drawn, no
+    Eligibility: nothing pending but ghosts, any live train drawn, no
     poison seen in the DMC, and nobody waiting on the doorbell."""
     sim = p.sim
-    group = _live_group(p)
-    if not _ghosts_only(sim) or (group is not None and not group.drawn):
+    live = _live_train(p)
+    if not _ghosts_only(sim) or (live is not None and not live.drawn):
         reason = "cmd-pending"
     elif p.t2.dcoh.dmc.poison_seen:
         reason = "poison"
@@ -1158,8 +1048,7 @@ def try_command_tail(p: Any, db: Any, tag: int,
     prop = lcfg.propagation_ns
     tcfg, hcfg = t2.cfg, core.cfg
     link = t2.port.link
-    wq = _ledgers(p)
-    bg_end = 0.0
+    wq = _ledgers(p, t1)
     t = t1 + t2.lsu.cfg.lsu_issue_ns
     t += tcfg.dcoh.engine_ns
     t += tcfg.dcoh.lookup_ns
@@ -1185,13 +1074,8 @@ def try_command_tail(p: Any, db: Any, tag: int,
         link.bytes_moved += REQ_BYTES + DATA_BYTES + ACK_BYTES
         victims: List[int] = []
         llc.insert(r, LineState.MODIFIED, writeback=victims.append)
-        channels = home.mem.channels
         for victim in victims:                 # dirty victim -> DRAM
-            vch = channels[(victim // CACHELINE) % len(channels)]
-            vch.writes += 1
-            __, d_end = wq[vch].write(filled)
-            if d_end > bg_end:
-                bg_end = d_end
+            wq.post(home.mem.channels, victim, filled)
         llc.lookup(r)
         kind = "cmd/complete-nc-p"
     else:
@@ -1204,7 +1088,6 @@ def try_command_tail(p: Any, db: Any, tag: int,
             gap += HOST_BIAS_WRITE_GAP_EXTRA_NS
         t += gap
         channels = t2.dev_mem.channels
-        nch = len(channels)
         if host_bias:
             state = llc.state_of(r)
             t += ser_req
@@ -1222,15 +1105,9 @@ def try_command_tail(p: Any, db: Any, tag: int,
                 dcoh.dmc.insert(r, LineState.MODIFIED,
                                 writeback=victims.append)
                 for victim in victims:         # dirty victim -> dev DRAM
-                    vch = channels[(victim // CACHELINE) % nch]
-                    vch.writes += 1
-                    __, d_end = wq[vch].write(t)
-                    if d_end > bg_end:
-                        bg_end = d_end
-        ch = channels[(r // CACHELINE) % nch]
-        completed, d_end = wq[ch].write(t)
-        if d_end > bg_end:
-            bg_end = d_end
+                    wq.post(channels, victim, t)
+        completed = wq.post(channels, r, t)
+        ch = channels[(r // CACHELINE) % len(channels)]
         # An H2D ld: request down, fabric, DMC check (the NC-wr left the
         # line absent), device read, data up.
         t = completed + hcfg.issue_ns
@@ -1245,7 +1122,6 @@ def try_command_tail(p: Any, db: Any, tag: int,
 
         dcoh.d2d_count += 1
         dcoh.dmc.invalidate(r)
-        ch.writes += 1
         t2.h2d_reads += 1
         t2.bias.h2d_touch(r)
         ch.reads += 1
@@ -1254,7 +1130,7 @@ def try_command_tail(p: Any, db: Any, tag: int,
         kind = "cmd/complete-nc-wr"
     t2.lsu._jittered(completed - t1)
     core._jittered(read - completed)
-    if bg_end > read:
-        sim.schedule_at(bg_end, _hold)
+    if wq.end > read:
+        sim.schedule_at(wq.end, _hold)
     BULK_STATS.batch(kind, 2)
     return completed, read

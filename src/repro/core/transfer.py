@@ -71,8 +71,7 @@ class TransferBench:
         elif mechanism == "pcie-doca-dma":
             yield from p.snic.doca_dma(nbytes, to_device=True)
         elif mechanism == "cxl-ldst":
-            # The host core streams nt-st at cache-line granularity.
-            yield from self._cxl_lines(HostOp.NT_STORE, nbytes)
+            yield from self._cxl_ldst("h2d", nbytes)
         elif mechanism == "cxl-dsa":
             yield from p.dsa.copy(nbytes, via=p.t2.port.link, to_device=True)
         else:
@@ -88,37 +87,35 @@ class TransferBench:
         elif mechanism == "pcie-doca-dma":
             yield from p.snic.doca_dma(nbytes, to_device=False)
         elif mechanism == "cxl-ldst":
-            # The device LSU pulls host lines with CS-rd (SV-D pairs
-            # CXL-LD with CS-read and CXL-ST with NC-P).
-            yield from self._lsu_lines(D2HOp.CS_READ, nbytes)
+            yield from self._cxl_ldst("d2h", nbytes)
         elif mechanism == "cxl-dsa":
             yield from p.dsa.copy(nbytes, via=p.t2.port.link, to_device=False)
         else:
             raise WorkloadError(f"unknown D2H mechanism {mechanism!r}")
 
-    def _cxl_lines(self, op: HostOp, nbytes: int) -> Generator[Any, Any, None]:
-        """Host core moving nbytes line-by-line over CXL.mem, pipelined."""
-        sim, core, t2 = self.p.sim, self.p.core, self.p.t2
-        addrs = self.p.fresh_dev_lines(max(1, nbytes // CACHELINE))
-        train = fastpath.try_h2d_train(self.p, core, op, t2, addrs)
+    def _cxl_ldst(self, direction: str, nbytes: int,
+                  transfers: int = 1) -> Generator[Any, Any, None]:
+        """``transfers`` transfers of ``nbytes`` as one stream of cache
+        lines over CXL, pipelined: the host core's nt-st into device
+        memory (h2d), or the device LSU's CS-rd of host memory (d2h; SV-D
+        pairs CXL-LD with CS-read and CXL-ST with NC-P)."""
+        p = self.p
+        sim, core, t2 = p.sim, p.core, p.t2
+        lines = transfers * max(1, nbytes // CACHELINE)
+        if direction == "h2d":
+            addrs = p.fresh_dev_lines(lines)
+            train = fastpath.try_h2d_train(p, core, HostOp.NT_STORE, t2,
+                                           addrs)
+            line = lambda a: core.cxl_op(HostOp.NT_STORE, a, t2)
+        else:
+            addrs = p.fresh_host_lines(lines)
+            train = fastpath.try_lsu_train(p, t2.lsu, D2HOp.CS_READ, addrs)
+            line = lambda a: t2.lsu.d2h(D2HOp.CS_READ, a)
         if train is not None:
             yield from train
             return
-        procs = [sim.spawn(core.cxl_op(op, addr, t2)) for addr in addrs]
-        done = sim.all_of([proc.done for proc in procs])
-        yield done
-
-    def _lsu_lines(self, op: D2HOp, nbytes: int) -> Generator[Any, Any, None]:
-        """Device LSU moving nbytes line-by-line over CXL.cache, pipelined."""
-        sim, lsu = self.p.sim, self.p.t2.lsu
-        addrs = self.p.fresh_host_lines(max(1, nbytes // CACHELINE))
-        train = fastpath.try_lsu_train(self.p, lsu, op, addrs)
-        if train is not None:
-            yield from train
-            return
-        procs = [sim.spawn(lsu.d2h(op, addr)) for addr in addrs]
-        done = sim.all_of([proc.done for proc in procs])
-        yield done
+        procs = [sim.spawn(line(addr)) for addr in addrs]
+        yield sim.all_of([proc.done for proc in procs])
 
     # ------------------------------------------------------------------
     # measurement
@@ -152,15 +149,23 @@ class TransferBench:
             raw = sim.run_process(timed_once())
             latencies.append(self.p.rng.jitter(raw, self.p.cfg.latency_noise))
         # Streaming bandwidth: several transfers in flight back-to-back.
+        # The cxl-ldst transfers' lines are one stream: the bump
+        # allocators hand ``depth`` transfers the addresses of one call,
+        # and their line processes start in the same order.
         depth = 4
+        if mechanism == "cxl-ldst":
+            streams = [lambda: self._cxl_ldst(direction, nbytes, depth)]
+        else:
+            streams = [once] * depth
         start = sim.now
         done_at: list[float] = []
 
-        def timed() -> Generator[Any, Any, None]:
-            yield from once()
+        def timed(stream: Callable[[], Generator]) -> Generator[Any, Any,
+                                                                None]:
+            yield from stream()
             done_at.append(sim.now)
 
-        procs = [sim.spawn(timed()) for __ in range(depth)]
+        procs = [sim.spawn(timed(stream)) for stream in streams]
         sim.run()
         if not all(proc.finished for proc in procs):
             raise WorkloadError(f"{mechanism}/{direction}: deadlock")

@@ -95,8 +95,10 @@ CHECKPOINT_STATS = CheckpointStats()
 # timer wheel's far levels became one far heap; /3: caches gained
 # ``poison_seen``; /4: the timer wheel became one bucket per deadline;
 # /5: the Type-2 device gained ``checks_in_flight`` and the bulk train
-# groups' write-queue ledgers moved onto the platform).
-_FILE_MAGIC = b"repro-checkpoint/5\n"
+# groups' write-queue ledgers moved onto the platform; /6: the train
+# group gave way to a live-train record and the ledgers gained a
+# running drain end).
+_FILE_MAGIC = b"repro-checkpoint/6\n"
 
 
 def _ambient_state() -> Dict[str, Any]:

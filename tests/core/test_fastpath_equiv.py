@@ -151,15 +151,51 @@ def test_queued_writebacks_demote_microbench_trains():
 
 
 def test_transfer_bench_identical_bulk_off_and_on():
+    """64 B cells train only their bandwidth phase: one transfer is one
+    line, the ``depth`` transfers' stream is four."""
     def run():
-        bench = TransferBench(Platform(seed=4), reps=3)
-        return [bench.measure("cxl-ldst", direction, nbytes)
-                for direction in ("h2d", "d2h")
-                for nbytes in (1024, 16384)]
+        p = Platform(seed=4)
+        bench = TransferBench(p, reps=3)
+        return ([bench.measure("cxl-ldst", direction, nbytes)
+                 for direction in ("h2d", "d2h")
+                 for nbytes in (64, 1024, 16384)], _fingerprint(p))
 
     off, on, stats = _both(run)
     assert off == on
     assert stats["total_batches"] > 0
+
+
+@pytest.mark.parametrize("direction", ["h2d", "d2h"])
+def test_transfer_bench_streams_its_bandwidth_phase_as_one_train(direction):
+    """A cxl-ldst cell trains once per latency rep and once for the
+    bandwidth phase, whose ``depth`` transfers are one stream of lines."""
+    bench = TransferBench(Platform(seed=4), reps=3)
+    BULK_STATS.reset()
+    bench.measure("cxl-ldst", direction, 1024)
+    stats = BULK_STATS.snapshot()
+    assert stats["total_batches"] == 3 + 1, stats
+    assert stats["total_lines"] == (3 + 4) * 16, stats
+    assert stats["fallbacks"] == {}, stats
+
+
+def test_a_train_requested_while_another_replays_is_busy():
+    """A live train's replay holds the resources its lines queue on, so
+    a second train at the same timestamp is refused until it lands."""
+    p = Platform(seed=4)
+    lsu = p.t2.lsu
+
+    def request():
+        return fastpath.try_lsu_train(p, lsu, D2HOp.CS_READ,
+                                      p.fresh_host_lines(8))
+
+    first = request()
+    assert first is not None
+    BULK_STATS.reset()
+    assert request() is None
+    assert BULK_STATS.fallbacks == {"busy": 1}
+    p.sim.run_process(first)
+    assert request() is not None
+    assert BULK_STATS.fallbacks == {"busy": 1}
 
 
 def test_offload_flows_identical_bulk_off_and_on():
@@ -195,7 +231,7 @@ def test_offload_flows_identical_bulk_off_and_on():
                                    fastpath.VECTOR_DRAWS, 64])
 def test_draws_identical_either_side_of_the_vector_crossover(lines,
                                                              monkeypatch):
-    """Groups below the crossover draw scalar, groups at or above it in
+    """Trains below the crossover draw scalar, trains at or above it in
     one vector; both match the per-line draws and RNG state."""
     vector_sizes = []
     jitter_array = DeterministicRng.jitter_array

@@ -186,17 +186,17 @@ class TestSaveLoad:
             Checkpoint.load(str(path))
 
     def test_previous_format_is_rejected(self, tmp_path):
-        """A file from the previous layout (header ``/4``) pickles a
-        device without ``checks_in_flight``; it must fail at the header,
-        not later when an H2D access reads the missing counter."""
+        """A file from the previous layout (header ``/5``) pickles
+        write-queue ledgers without a running drain end; it must fail at
+        the header, not later when a train reads the missing ``end``."""
         sim = Simulator()
         sim.run()
         path = tmp_path / "old.ckpt"
         snapshot(sim, label="old").save(str(path))
         body = path.read_bytes()
-        assert body.startswith(b"repro-checkpoint/5\n")
-        path.write_bytes(b"repro-checkpoint/4\n"
-                         + body[len(b"repro-checkpoint/5\n"):])
+        assert body.startswith(b"repro-checkpoint/6\n")
+        path.write_bytes(b"repro-checkpoint/5\n"
+                         + body[len(b"repro-checkpoint/6\n"):])
         with pytest.raises(CheckpointError, match="magic"):
             Checkpoint.load(str(path))
 
