@@ -12,6 +12,8 @@ the repository root:
     export PYTHONPATH=src REPRO_EXPCACHE=0
     python -m repro table3 > tests/golden/table3.txt
     python -m repro fig3 --reps 2 > tests/golden/fig3.txt
+    python -m repro fig4 --reps 2 > tests/golden/fig4.txt
+    python -m repro fig5 --reps 2 > tests/golden/fig5.txt
     python -m repro fig6 --reps 4 > tests/golden/fig6.txt
     python -m repro fig8 --duration-ms 20 > tests/golden/fig8.txt
     python -m repro ext_scale --requests 20000 > tests/golden/ext_scale.txt
@@ -34,6 +36,8 @@ REPO = GOLDEN.parent.parent
 COMMANDS = {
     "table3": ("table3",),
     "fig3": ("fig3", "--reps", "2"),
+    "fig4": ("fig4", "--reps", "2"),
+    "fig5": ("fig5", "--reps", "2"),
     "fig6": ("fig6", "--reps", "4"),
     "fig8": ("fig8", "--duration-ms", "20"),
     "ext_scale": ("ext_scale", "--requests", "20000"),
