@@ -1,7 +1,8 @@
 """Exact-replay bulk fast-forward for homogeneous line streams.
 
-The streaming paths of Fig 3/5/6 — an LSU pulling K host lines, a host
-core nt-storing K device lines — walk ~20 engine events *per 64 B line*.
+The streaming paths of Fig 3-6 — an LSU pulling K host or device
+lines, a host core loading or storing K device lines — walk ~20 engine
+events *per 64 B line*.
 For a provably homogeneous train those event chains are pure arithmetic:
 every FIFO stage grants either at the arrival float or at the previous
 holder's release float (an unmodified hand-off), and every ``Timeout``
@@ -39,7 +40,18 @@ stream of lines.
 Background work (posted-write drains, dirty-victim writebacks) is
 posted to per-channel write-queue ledgers (:meth:`_Ledgers.post`) and
 covered by ghosts (:func:`_hold` entries) so the simulation clock ends
-on the same final timestamp as the per-line run.
+on the same final timestamp as the per-line run.  A d2d train that
+posts no write may also start beside queued dirty-victim writebacks
+(:func:`writebacks_queued`): they run per-line alongside it, on write
+queues it never touches.
+
+**Stage order.**  An LSU train's lines reach every shared stage in line
+order, which the d2h and d2d paths guarantee.  An H2D load or ordered
+store meets the shared up wire after its device channel, so a line held
+up at a busy channel is overtaken; the H2D builder replays its lines'
+stage arrivals from a heap in the engine's own order (:func:`_replay`):
+by time, then by when each arrival was scheduled, back to the first
+difference.
 
 Every builder also has a **serial mode** for dependent accesses — the
 microbenchmark's latency phase, where each access runs alone to
@@ -64,7 +76,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
+from inspect import GEN_CREATED, getgeneratorstate
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro import flags
@@ -73,10 +86,9 @@ from repro.devices.dcoh import HOST_BIAS_WRITE_GAP_EXTRA_NS
 from repro.errors import DeviceError, SimulationError
 from repro.faults import NO_FAULTS
 from repro.interconnect.cxl import ACK_BYTES, DATA_BYTES, REQ_BYTES
-from repro.interconnect.link import Direction
 from repro.mem.coherence import LineState
 from repro.sim.bulk import BULK_STATS
-from repro.sim.engine import WakeAt
+from repro.sim.engine import Process, WakeAt
 from repro.units import CACHELINE
 
 # Below this, per-line cost is negligible and a train buys nothing.
@@ -116,6 +128,13 @@ class _ChannelLedger:
         self.drain = cfg.drain_ns_per_line()
         self.pending: deque = deque()   # drain-end floats, oldest first
         self.d_prev = 0.0
+
+    def copy(self) -> "_ChannelLedger":
+        other = object.__new__(_ChannelLedger)
+        other.cap, other.enq, other.drain = self.cap, self.enq, self.drain
+        other.pending = deque(self.pending)
+        other.d_prev = self.d_prev
+        return other
 
     def write(self, arrival: float) -> Tuple[float, float]:
         """Post one line at ``arrival``; return (enqueue_end, drain_end)."""
@@ -195,7 +214,7 @@ def _live_train(p: Any) -> Optional[_LiveTrain]:
 
 def _static_block_reason(p: Any) -> Optional[str]:
     """Platform-wide conditions under which no train may ever run."""
-    if not flags.get("bulk"):
+    if not flags.sample("bulk"):
         return "disabled"
     if p.coherence_sanitizer is not None or p.race_detector is not None:
         return "sanitizers"
@@ -239,9 +258,30 @@ def quiescent(p: Any) -> bool:
     fallback."""
     if p.sim.quiescent:
         return True
-    if flags.get("bulk"):
+    if flags.sample("bulk"):
         BULK_STATS.fallback("pending")
     return False
+
+
+def writebacks_queued(p: Any) -> bool:
+    """Whether ``p``'s simulator has work queued and all of it is
+    dirty-DMC-victim writebacks not yet started: the ``dmc.writeback``
+    spawns that priming the DMC over dirty lines leaves.
+
+    They queue only on the device channels' write queues and drains, so
+    a d2d train that posts no write may start beside them
+    (``beside_writebacks``); they then run per-line alongside it.  A
+    caller asks this before :func:`quiescent`, which stays strict."""
+    sim = p.sim
+    if sim._times or not sim._delta:
+        return False
+    for __, fn, __ in sim._delta:
+        proc = getattr(fn, "__self__", None)
+        if (type(proc) is not Process or proc.name != "dmc.writeback"
+                or len(proc._stack) != 1
+                or getgeneratorstate(proc._stack[0]) != GEN_CREATED):
+            return False
+    return True
 
 
 def _refusal(p: Any, addrs: List[int], serial: bool,
@@ -550,7 +590,8 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
 # ----------------------------------------------------------------------
 
 def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
-                      serial: bool = False) -> Optional[
+                      serial: bool = False,
+                      beside_writebacks: bool = False) -> Optional[
                           Generator[Any, Any, List[float]]]:
     """Attempt to batch ``lsu.d2d(op, addr) for addr in addrs``.
 
@@ -560,7 +601,10 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     Dirty DMC victims evicted by fills are replayed into the device
     channels' write-queue ledgers, exactly like the per-line writeback
     processes they stand in for.  ``serial`` as for
-    :func:`try_lsu_train`."""
+    :func:`try_lsu_train`.  ``beside_writebacks`` says the simulator
+    holds queued writebacks (:func:`writebacks_queued`): the train then
+    starts only if it posts no write (no NC-wr, no DMC fill), and is
+    otherwise refused as ``pending``."""
     if op not in _D2D_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
     t2 = p.t2
@@ -620,6 +664,9 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         return None
     fills = not at_dmc and op in (D2HOp.CS_READ, D2HOp.CO_READ,
                                   D2HOp.CO_WRITE)
+    if beside_writebacks and (fills or op is D2HOp.NC_WRITE):
+        BULK_STATS.fallback("pending")
+        return None
     if fills and dmc.poison_seen and any(line.poisoned
                                          for line in dmc.lines()):
         # A poisoned victim would defer device-memory poison through
@@ -741,87 +788,314 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
 
 
 # ----------------------------------------------------------------------
-# H2D nt-store trains (host core -> CXL.mem -> Type-2 device)
+# H2D trains (host core -> CXL.mem -> Type-2 or Type-3 device memory)
 # ----------------------------------------------------------------------
+
+# The steps of an H2D line's program (see :func:`try_h2d_train`):
+# ``_WAIT`` is one Timeout; ``_DOWN``, ``_READ`` and ``_UP`` hold the
+# down wire, the line's channel read slot and the up wire (FIFO, one
+# holder); ``_POST`` posts a write to the line's channel; ``_DONE`` is
+# the line's completion.
+_WAIT, _DOWN, _READ, _POST, _UP, _DONE = range(6)
+
+
+def _stream(prog: List[Tuple[int, float]], chan: List[int],
+            queues: List[_ChannelLedger], t0: float, width: int,
+            serial: bool) -> Tuple[List[float], List[float], float]:
+    """Replay an nt-st program whose posted write is its one channel
+    stage, line by line: the down wire takes the lines in window order,
+    so they complete, and post their writes, in line order.  Arguments
+    and result as for :func:`_replay`."""
+    codes = [code for code, __ in prog]
+    args = [arg for __, arg in prog]
+    down, done = codes.index(_DOWN), codes.index(_DONE)
+    front, ser = args[:down], args[down]
+    mid, back = args[down + 1:done], args[done + 1:-1]
+    K = len(chan)
+    completions = [0.0] * K
+    raws = [0.0] * K
+    window: List[float] = []
+    down_free = 0.0
+    end = c = t0
+    for k in range(K):
+        if serial:                  # the previous line's drain end
+            g = c if end <= c else end
+        elif k < width:             # a free window slot at the start,
+            g = t0
+        else:                       # else the earliest release
+            g = heappop(window)
+        t = g
+        for wait in front:
+            t += wait
+        t = (t if down_free <= t else down_free) + ser
+        down_free = t
+        for wait in mid:
+            t += wait
+        c = completions[k] = t      # retires at the controller
+        raws[k] = c - (g if serial else t0)
+        heappush(window, c)
+        for wait in back:           # the posted device write
+            t += wait
+        __, drained = queues[chan[k]].write(t)
+        if drained > end:
+            end = drained
+    return completions, raws, end
+
+
+def _replay(prog: List[Tuple[int, float]], chan: List[int],
+            queues: List[_ChannelLedger], t0: float, width: int,
+            serial: bool) -> Optional[Tuple[List[float], List[float],
+                                            float]]:
+    """Replay line programs in the order the engine would run them.
+
+    Line ``k`` reads from and posts to channel ``chan[k]``, whose ledger
+    is ``queues[chan[k]]`` (scratch copies, so a refused replay leaves
+    the platform's ledgers as they were).  Pipelined, the first
+    ``width`` lines start at ``t0`` and each completion hands its window
+    slot to the next line; serial, line *k* starts alone at line *k-1*'s
+    drain end.
+
+    A line overtaken at a channel reaches the shared up wire later, so
+    stage arrivals are taken from a heap in the engine's order.  Each
+    carries the key of the event that runs it, ``(time, key of the
+    event that scheduled it)``: the engine runs equal times in
+    scheduling order, and tuple comparison walks back through the
+    schedulers to the first difference.  The keys follow every engine
+    entry on the way: a free FIFO grants through two same-time entries
+    (the deferred grant, then the resumption), a busy one from the
+    holder's release; the spawns of the first lines are ordered by line
+    index; an nt-st line's completion spawns its posted write, then
+    hands off its window slot.
+
+    Returns the completions, the raw latencies and the last drain end,
+    or None where the keys do not settle the order: a write that would
+    wait for (or meet) a drain ending, whose release the keys do not
+    follow, or two completions at one time, whose deferred draws would
+    be ordered by their keys rather than by line index."""
+    K = len(chan)
+    codes = [code for code, __ in prog]
+    args = [arg for __, arg in prog]
+    last = len(prog)
+    completions = [0.0] * K
+    raws = [0.0] * K
+    origin = [t0] * K
+    # Each FIFO's release time and the key of its releasing event: the
+    # channels' read slots, then the down and the up wire.
+    nch = len(queues)
+    frees = [0.0] * (nch + 2)
+    free_keys: List[tuple] = [()] * (nch + 2)
+    end = t0
+    done_at = -1.0
+    heap: List[Tuple[tuple, int, int]] = []
+
+    def start(k: int, t: float, key: tuple) -> None:
+        # ``key`` resumes line k with its window slot.
+        pc = 0
+        while codes[pc] == _WAIT:
+            t += args[pc]
+            key = (t, key)
+            pc += 1
+        heappush(heap, (key, k, pc))
+
+    for k in range(width):
+        spawn = (t0, (), k)
+        start(k, t0, (t0, (t0, spawn)))
+    admitted = width
+    key, k, pc = heappop(heap)
+    while True:
+        t = key[0]
+        code = codes[pc]
+        if code == _DONE:
+            if t == done_at:
+                return None
+            done_at = completions[k] = t
+            raws[k] = t - origin[k]
+            if not serial and admitted < K:
+                start(admitted, t, (t, key, 1))   # the window hand-off
+                admitted += 1
+            key = (t, key, 0)       # an nt-st line's posted write
+        elif code == _POST:
+            queue = queues[chan[k]]
+            pending = queue.pending
+            if len(pending) >= queue.cap and pending[-queue.cap] >= t:
+                return None
+            e, drained = queue.write(t)     # a free slot: granted now
+            key = (e, (t, (t, key)))
+            t = e
+            if drained > end:
+                end = drained
+        else:
+            slot = (chan[k] if code == _READ else nch if code == _DOWN
+                    else nch + 1)
+            free = frees[slot]
+            if free < t or free == t and free_keys[slot] < key:
+                grant = (t, (t, key))
+            else:
+                t = free
+                grant = (t, free_keys[slot])
+            t += args[pc]
+            key = (t, grant)
+            frees[slot], free_keys[slot] = t, key
+        pc += 1
+        if pc < last:
+            while codes[pc] == _WAIT:
+                t += args[pc]
+                key = (t, key)
+                pc += 1
+            # The earliest arrival next, which is often this line's.
+            key, k, pc = heappushpop(heap, (key, k, pc))
+            continue
+        if serial and admitted < K:
+            # The next line starts alone at this one's drain end.
+            t = completions[k] if end <= completions[k] else end
+            origin[admitted] = t
+            spawn = (t, (), admitted)
+            start(admitted, t, (t, (t, spawn)))
+            admitted += 1
+        if not heap:
+            break
+        key, k, pc = heappop(heap)
+    return completions, raws, end
+
 
 def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
                   addrs: List[int], serial: bool = False) -> Optional[
                       Generator[Any, Any, List[float]]]:
-    """Attempt to batch ``core.cxl_op(NT_STORE, addr, device)`` streams.
+    """Attempt to batch ``core.cxl_op(op, addr, device) for addr in
+    addrs``: host ld, nt-ld, st or nt-st lines into the memory of the
+    Type-2 device or of the Type-3 device without an inline AFU.
 
-    Only the posted nt-store path batches: its foreground is pure
-    window/wire arithmetic (the store retires at the CXL controller) and
-    the device-side work — bias touch, DMC check, posted DRAM write — is
-    replayed into background ledgers.  Loads and ordered stores return
-    ``None`` (per-line).  ``serial`` as for :func:`try_lsu_train`."""
-    if op is not HostOp.NT_STORE or len(addrs) < MIN_TRAIN_LINES:
+    A Type-2 line's DMC check takes one uniform branch for the whole
+    train: every line absent, or every line resident in one state
+    (SHARED, OWNED/EXCLUSIVE, or MODIFIED with its foreground writeback);
+    mixed states are refused (``dmc-state``).  Each line's path is a
+    program of Timeouts and stages (:func:`_replay`); an nt-st line
+    retires at the controller and its posted device write runs on as
+    background work.  Writes go to the device channels' write-queue
+    ledgers.  ``serial`` as for :func:`try_lsu_train`."""
+    if len(addrs) < MIN_TRAIN_LINES:
         return None
     t2 = p.t2
-    channels = t2.dev_mem.channels
+    to_t2 = device is t2
+    link = device.port.link
+    channels = device.dev_mem.channels
     window = core._win[("cxl", op)]
 
     def resources() -> List[Any]:
-        out = [window, t2.port.link._wires[Direction.TO_DEVICE]]
+        out = [window, *link._wires.values()]
         for ch in channels:
-            out += [ch._wq, ch._drain]
+            out += [ch._wq, ch._drain, ch._read_bw]
         return out
 
     reason = _refusal(p, addrs, serial, resources)
     if reason is None:
-        if device is not t2:
+        if to_t2:
+            if t2.checks_in_flight:     # a per-line DMC check still to come
+                reason = "h2d-check"
+        elif device is not p.t3 or device.inline_afu is not None:
             reason = "h2d-target"
-        elif t2.dcoh.dmc.residency(addrs)[0]:
-            # A resident DMC line takes a coherence-state branch per line.
-            reason = "dmc-state"
+        elif link.dead or link.faults is not NO_FAULTS or link._retrain_until:
+            reason = "link-ras"
+        elif device.dev_mem.faults is not NO_FAULTS or device.dev_mem.poisoned:
+            reason = "faults"
     if reason is not None:
         _refuse(reason)
         return None
-
     K = len(addrs)
-    lcfg = t2.port.link.cfg
-    __, ser_data, __, __ = _wire_ns(lcfg)
+    state = None
+    if to_t2:
+        dmc = t2.dcoh.dmc
+        resident, poisoned = dmc.residency(addrs)
+        if poisoned:
+            BULK_STATS.fallback("poison")
+            return None
+        if resident:
+            states = ({dmc.peek(a).state for a in addrs} if resident == K
+                      else ())
+            if len(states) != 1:
+                BULK_STATS.fallback("dmc-state")
+                return None
+            state = states.pop()
+
+    # -- the line program: Core.cxl_op and the target's serve path -----
+    read = op.is_read
+    hcfg, lcfg, dcfg = core.cfg, link.cfg, channels[0].cfg
+    ser_req, ser_req_data, ser_data, ser_ack = _wire_ns(lcfg)
     prop = lcfg.propagation_ns
-    issue_ns = core.cfg.issue_ns
-    post_ns = core.cfg.nt_store_post_ns
-    fabric_ns = t2.cfg.h2d_fabric_ns
-    check_ns = t2.cfg.h2d_dmc_check_ns
-    h2d_touch = t2.bias.h2d_touch
+    prog = [(_WAIT, hcfg.issue_ns)]
+    if op is HostOp.NT_LOAD:
+        prog.append((_WAIT, hcfg.nt_load_extra_ns))
+    elif op is HostOp.NT_STORE:
+        prog.append((_WAIT, hcfg.nt_store_post_ns))
+    prog += [(_DOWN, ser_req if read else ser_req_data), (_WAIT, prop)]
+    if op is HostOp.NT_STORE:
+        prog.append((_DONE, 0.0))       # retires at the controller
+    prog.append((_WAIT, device.cfg.h2d_fabric_ns))
+    # Dcoh.h2d_check: SHARED + read needs nothing beyond the check.
+    change = state is not None and (state is not LineState.SHARED
+                                    or not read)
+    if to_t2:
+        tcfg = t2.cfg
+        prog.append((_WAIT, tcfg.h2d_dmc_check_ns))
+        if state is LineState.MODIFIED:
+            prog += [(_WAIT, tcfg.h2d_modified_writeback_ns), (_POST, 0.0)]
+        elif change:
+            prog.append((_WAIT, tcfg.h2d_state_change_ns))
+    if read:
+        prog += [(_READ, CACHELINE / dcfg.bytes_per_ns),
+                 (_WAIT, dcfg.read_ns), (_UP, ser_data), (_WAIT, prop),
+                 (_DONE, 0.0)]
+    else:
+        prog.append((_POST, 0.0))
+        if op is HostOp.STORE:
+            prog += [(_UP, ser_ack), (_WAIT, prop), (_DONE, 0.0)]
 
-    t0 = c = p.sim.now
+    t0 = p.sim.now
     wq = _ledgers(p, t0)
-    completions = [0.0] * K
-    raws = [0.0] * K
-    win_free, win_heap = window.capacity, []
-    down_free = 0.0
+    nch = len(channels)
+    chan = [(a // CACHELINE) % nch for a in addrs]
+    queues = [wq[ch].copy() for ch in channels]
+    width = 1 if serial else min(window.capacity, K)
+    if op is HostOp.NT_STORE and state is not LineState.MODIFIED:
+        replayed = _stream(prog, chan, queues, t0, width, serial)
+    else:
+        replayed = _replay(prog, chan, queues, t0, width, serial)
+    if replayed is None:
+        BULK_STATS.fallback("h2d-order")
+        return None
+    completions, raws, end = replayed
 
-    for k, addr in enumerate(addrs):
-        if serial:                  # the previous line's drain end
-            g = c if wq.end <= c else wq.end
-        elif win_free:              # window admission: a free slot now,
-            win_free -= 1
-            g = t0
-        else:                       # else the FIFO release hand-off
-            g = heappop(win_heap)[0]
-        t = g + issue_ns
-        t += post_ns
-        t = (t if down_free <= t else down_free) + ser_data
-        down_free = t
-        c = t + prop                        # retires at the controller
-        completions[k] = c
-        heappush(win_heap, (c, k))
-        raws[k] = c - (g if serial else t0)
-        # Background: the posted device-side write spawned at c.
-        h2d_touch(addr)
-        b = c + fabric_ns
-        b += check_ns                       # DMC check: miss, no action
-        wq.post(channels, addr, b)
-
-    t2.h2d_writes += K
-    link = t2.port.link
-    link.messages += K
-    link.bytes_moved += (REQ_BYTES + DATA_BYTES) * K
+    # -- eligibility proven: commit the side effects --------------------
+    posts = prog.count((_POST, 0.0))
+    for ch, queue in zip(channels, queues):
+        wq[ch] = queue
+    wq.end = end
+    for ci in chan:
+        channel = channels[ci]
+        channel.writes += posts
+        if read:
+            channel.reads += 1
+    if read:
+        device.h2d_reads += K
+    else:
+        device.h2d_writes += K
+    # A request and a line each way, and an ordered store's ack.
+    link.messages += (1 if op is HostOp.NT_STORE else 2) * K
+    link.bytes_moved += (REQ_BYTES + DATA_BYTES + (
+        ACK_BYTES if op is HostOp.STORE else 0)) * K
+    if to_t2:
+        h2d_touch = t2.bias.h2d_touch
+        if t2.bias.mode_of_span(min(addrs), max(addrs)) is None:
+            for addr in addrs:
+                h2d_touch(addr)
+        else:                       # one region: later touches are no-ops
+            h2d_touch(addrs[0])
+        if change:
+            after = LineState.SHARED if read else LineState.INVALID
+            for addr in addrs:
+                dmc.set_state(addr, after)
     kind = ("h2d-serial/" if serial else "h2d/") + op.value
-    return _launch(p, kind, core, completions, raws, wq.end, serial)
+    return _launch(p, kind, core, completions, raws, end, serial)
 
 
 # ----------------------------------------------------------------------

@@ -14,15 +14,18 @@ The paper uses N = 16 64 B accesses ("frequent host-device transfers of
 small amounts of data") and >=1 K repetitions; repetitions here default
 lower for CI speed but are configurable.
 
-Both phases of the D2H, D2D and Type-2 H2D scenarios replay through the
-exact-replay trains of :mod:`repro.core.fastpath` when eligible: the
-bandwidth phase as one pipelined train, the latency phase as one
-*serial* train, bit-exact to the per-line ``run_process`` loop.  A train
-starts only from a quiescent simulator: when ``prepare()`` left
-dirty-victim writebacks queued, the bandwidth phase runs per-line and
-the latency phase runs its first access per-line (its run drains the
-writebacks) and trains the rest.  The emulated-D2H and after-NC-P
-scenarios have no train family and always run per-line.
+Both phases of the D2H, D2D and H2D scenarios (Type-2 in every DMC
+state, and Type-3) replay through the exact-replay trains of
+:mod:`repro.core.fastpath` when eligible: the bandwidth phase as one
+pipelined train, the latency phase as one *serial* train, bit-exact to
+the per-line ``run_process`` loop.  A train starts from a quiescent
+simulator.  When ``prepare()`` left dirty-victim writebacks queued, the
+latency phase runs its first access per-line (its run drains the
+writebacks) and trains the rest; a D2D bandwidth phase whose lines post
+no write (DMC-hit CO-wr and reads, NC-rd) trains beside the writebacks,
+which run per-line alongside it, and any other bandwidth phase runs
+per-line.  The emulated-D2H and after-NC-P scenarios have no train
+family and always run per-line.
 """
 
 from __future__ import annotations
@@ -55,7 +58,8 @@ OpFactory = Callable[[int], Generator[Any, Any, float]]
 PrepareFn = Callable[[list[int]], None]
 # Optional bulk fast-forward: ``bulk(addrs)`` returns a train bit-exact
 # to the pipelined run, ``bulk(addrs, serial=True)`` one bit-exact to
-# the dependent-access loop, or None (per-line fallback).
+# the dependent-access loop, or None (per-line fallback).  A D2D ``bulk``
+# also takes ``beside_writebacks=True`` (see ``_measure``).
 BulkFn = Callable[..., Optional[Generator[Any, Any, list[float]]]]
 
 
@@ -94,7 +98,8 @@ class Microbench:
     def _measure(self, label: str, make_op: OpFactory, prepare: PrepareFn,
                  fresh: Callable[[int], list[int]],
                  accesses: Optional[int] = None,
-                 bulk: Optional[BulkFn] = None) -> Measurement:
+                 bulk: Optional[BulkFn] = None,
+                 beside_writebacks: bool = False) -> Measurement:
         n = accesses or self.accesses
         sim = self.p.sim
         latencies: list[float] = []
@@ -128,8 +133,15 @@ class Microbench:
                 yield from make_op(addr)
                 done_at.append(sim.now)
 
-            train = (bulk(addrs) if bulk is not None
-                     and fastpath.quiescent(self.p) else None)
+            # A D2D phase may train beside the writebacks prepare()
+            # queued, which then run per-line alongside it; any other
+            # train needs a quiescent simulator.
+            if bulk is None:
+                train = None
+            elif beside_writebacks and fastpath.writebacks_queued(self.p):
+                train = bulk(addrs, beside_writebacks=True)
+            else:
+                train = bulk(addrs) if fastpath.quiescent(self.p) else None
             if train is not None:
                 done_at = sim.run_process(train)
             else:
@@ -201,6 +213,7 @@ class Microbench:
             lambda addr: t2.lsu.d2d(op, addr),
             prepare, self.p.fresh_dev_lines, accesses=accesses,
             bulk=partial(fastpath.try_lsu_d2d_train, self.p, t2.lsu, op),
+            beside_writebacks=True,
         )
 
     # ------------------------------------------------------------------

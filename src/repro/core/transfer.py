@@ -151,10 +151,17 @@ class TransferBench:
         # Streaming bandwidth: several transfers in flight back-to-back.
         # The cxl-ldst transfers' lines are one stream: the bump
         # allocators hand ``depth`` transfers the addresses of one call,
-        # and their line processes start in the same order.
+        # and their line processes start in the same order.  The h2d
+        # pcie-mmio writers are one stream of their beats: they take the
+        # ordering slot in turn, so the last beat ends where one writer's
+        # chained beats would.
         depth = 4
         if mechanism == "cxl-ldst":
             streams = [lambda: self._cxl_ldst(direction, nbytes, depth)]
+        elif mechanism == "pcie-mmio" and direction == "h2d":
+            beats = max(1, (nbytes + CACHELINE - 1) // CACHELINE)
+            streams = [lambda: self.p.pcie.mmio_write(
+                depth * beats * CACHELINE)]
         else:
             streams = [once] * depth
         start = sim.now

@@ -22,7 +22,7 @@ from typing import Any, Callable, Dict, Iterator, Mapping, Optional
 
 from repro.errors import ConfigError
 
-__all__ = ["Flag", "FLAGS", "get", "override"]
+__all__ = ["Flag", "FLAGS", "get", "override", "sample"]
 
 _SWITCH: Mapping[str, bool] = {"1": True, "true": True, "on": True,
                                "0": False, "false": False, "off": False}
@@ -82,6 +82,8 @@ FLAGS: Dict[str, Flag] = {flag.name: flag for flag in (
 )}
 
 _overrides: Dict[str, Any] = {}
+# get()'s values under the current override state, for sample().
+_sampled: Dict[str, Any] = {}
 _UNSET = object()
 
 
@@ -95,6 +97,20 @@ def get(name: str) -> Any:
     return flag.parse(text) if text else flag.default
 
 
+def sample(name: str) -> Any:
+    """:func:`get`, read once per override state: every
+    :func:`override` block forgets the samples as it opens and as it
+    closes.  For hot paths (every prospective line train asks for
+    ``bulk``).  It keeps nothing on a model object, so a checkpoint or
+    a fork carries no sample from the state it was taken in.  The
+    environment is read at the first sample; set a ``REPRO_*`` variable
+    before the process starts, or use :func:`override`."""
+    value = _sampled.get(name, _UNSET)
+    if value is _UNSET:
+        value = _sampled[name] = get(name)
+    return value
+
+
 @contextmanager
 def override(**values: Any) -> Iterator[None]:
     """Force flags for the ``with`` block, beating the environment:
@@ -104,8 +120,10 @@ def override(**values: Any) -> Iterator[None]:
               for name, value in values.items()}
     saved = dict(_overrides)
     _overrides.update(parsed)
+    _sampled.clear()
     try:
         yield
     finally:
         _overrides.clear()
         _overrides.update(saved)
+        _sampled.clear()

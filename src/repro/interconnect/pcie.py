@@ -43,7 +43,7 @@ class PciePort:
         reports.
         """
         beats = max(1, (nbytes + CACHELINE - 1) // CACHELINE)
-        if beats >= 2 and flags.get("bulk"):
+        if beats >= 2 and flags.sample("bulk"):
             # The beats are process-local dependent Timeouts, so the
             # chain is one repeated addition regardless of concurrency.
             end = self.sim.now
@@ -58,12 +58,25 @@ class PciePort:
     def mmio_write(self, nbytes: int = CACHELINE) -> Generator[Any, Any, None]:
         """Write-combining write: 64 B beats, one in flight (ordering).
 
-        Deliberately *not* bulk fast-forwarded: the ordering slot is a
-        contended FIFO, and concurrent writers must interleave per beat.
+        Alone, a writer's beats chain: each takes the ordering slot as
+        the previous one frees it, so the last ends at
+        ``now + d + d + ...``.  On a quiescent simulator with the slot
+        idle, nothing can join before that float, and the beats are one
+        ``WakeAt``.  Anywhere else concurrent writers interleave on the
+        FIFO slot per beat.
         """
         beats = max(1, (nbytes + CACHELINE - 1) // CACHELINE)
+        order = self._write_order
+        if (beats >= 2 and self.sim.quiescent and not order._in_use
+                and flags.sample("bulk")):
+            end = self.sim.now
+            for __ in range(beats):
+                end += self.cfg.mmio_write_oneway_ns
+            BULK_STATS.batch("pcie/mmio-wr", beats)
+            yield WakeAt(end)
+            return
         for __ in range(beats):  # reprolint: disable=PERF402 ordering FIFO
-            yield from self._write_order.using(self.cfg.mmio_write_oneway_ns)
+            yield from order.using(self.cfg.mmio_write_oneway_ns)
 
     # -- DMA ------------------------------------------------------------------
 

@@ -181,13 +181,73 @@ def check_sim203(module: LintModule) -> Iterator[Finding]:
                 )
 
 
-def _plain_functions(module: LintModule) -> Dict[str, ast.FunctionDef]:
-    """Module- and class-level functions that contain no ``yield``."""
-    out: Dict[str, ast.FunctionDef] = {}
-    for fn in module.functions():
-        if not function_yields(fn):
-            out[fn.name] = fn
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef,
+           *_COMPREHENSIONS)
+
+
+def _scope_bindings(scope: ast.AST) -> Dict[str, Optional[ast.AST]]:
+    """Names bound directly in ``scope`` (a module, class or function):
+    each maps to its ``def`` when that is the name's only binding there,
+    and to None when anything else (an assignment, a parameter, an
+    import, a ``global``) binds it too."""
+    out: Dict[str, Optional[ast.AST]] = {}
+
+    def bind(name: str, node: Optional[ast.AST]) -> None:
+        out[name] = node if name not in out else None
+
+    todo: List[ast.AST]
+    if isinstance(scope, _COMPREHENSIONS):
+        todo = [gen.target for gen in scope.generators]
+    elif isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.Lambda)):
+        for arg in ast.walk(scope.args):
+            if isinstance(arg, ast.arg):
+                bind(arg.arg, None)
+        todo = list(scope.body) if isinstance(scope.body, list) else []
+    else:
+        todo = list(scope.body)             # type: ignore[attr-defined]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bind(node.name, node)
+            continue                        # its body is its own scope
+        if isinstance(node, ast.ClassDef):
+            bind(node.name, None)
+            continue
+        if isinstance(node, (ast.Lambda, *_COMPREHENSIONS)):
+            continue
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            bind(node.id, None)
+        elif isinstance(node, ast.alias):
+            bind((node.asname or node.name).split(".")[0], None)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            out.update(dict.fromkeys(node.names))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bind(node.name, None)
+        todo.extend(ast.iter_child_nodes(node))
     return out
+
+
+def _spawn_calls(module: LintModule) -> Iterator[tuple]:
+    """Every ``spawn``/``run_process`` call with a first argument, and
+    the scopes it can see, innermost first: its enclosing functions,
+    its own class body (a method cannot see its class's names), and the
+    module."""
+    stack: List[tuple] = [(module.tree, ())]
+    while stack:
+        node, scopes = stack.pop()
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            attr = func.attr if isinstance(func, ast.Attribute) else (
+                func.id if isinstance(func, ast.Name) else "")
+            if attr in ("spawn", "run_process"):
+                yield node, attr, scopes
+        if isinstance(node, _SCOPES) or node is module.tree:
+            inner = tuple(scope for scope in scopes
+                          if not isinstance(scope, ast.ClassDef))
+            scopes = (node,) + inner
+        stack.extend((child, scopes) for child in ast.iter_child_nodes(node))
 
 
 def check_sim204(module: LintModule) -> Iterator[Finding]:
@@ -195,28 +255,30 @@ def check_sim204(module: LintModule) -> Iterator[Finding]:
 
     ``sim.spawn(fn)`` (forgetting the call), ``spawn(lambda: ...)``, and
     ``spawn(<constant>)`` all raise at the first step; the generator must
-    be *instantiated* (``sim.spawn(fn(...))``).
+    be *instantiated* (``sim.spawn(fn(...))``).  A bare name is resolved
+    the way Python would, against the scopes the call can see: a plain
+    ``def`` elsewhere in the module does not make it one.
     """
-    plain = _plain_functions(module)
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        attr = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else "")
-        if attr not in ("spawn", "run_process"):
-            continue
-        if not node.args:
-            continue
+    bindings: Dict[ast.AST, Dict[str, Optional[ast.AST]]] = {}
+    for node, attr, scopes in _spawn_calls(module):
         arg = node.args[0]
         problem = None
         if isinstance(arg, ast.Lambda):
             problem = "a lambda (call it, or make it a generator)"
         elif isinstance(arg, ast.Constant):
             problem = f"constant {arg.value!r}"
-        elif isinstance(arg, ast.Name) and arg.id in plain:
-            problem = (f"`{arg.id}`, a plain function — did you mean "
-                       f"`{arg.id}(...)`?")
+        elif isinstance(arg, ast.Name):
+            target = None
+            for scope in scopes:
+                if scope not in bindings:
+                    bindings[scope] = _scope_bindings(scope)
+                if arg.id in bindings[scope]:
+                    target = bindings[scope][arg.id]
+                    break
+            if (isinstance(target, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not function_yields(target)):
+                problem = (f"`{arg.id}`, a plain function — did you mean "
+                           f"`{arg.id}(...)`?")
         if problem is not None:
             yield Finding(
                 "SIM204", module.path, arg.lineno, arg.col_offset,

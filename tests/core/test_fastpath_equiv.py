@@ -24,12 +24,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import flags
+from repro.config import (
+    CxlType2Config,
+    CxlType3Config,
+    DramConfig,
+    HostConfig,
+    LinkConfig,
+    SystemConfig,
+)
 from repro.core import fastpath
 from repro.core.microbench import Microbench
 from repro.core.offload import OffloadEngine
 from repro.core.platform import Platform
 from repro.core.requests import BiasMode, D2HOp, HostOp
 from repro.core.transfer import TransferBench
+from repro.devices.cxl_type3 import InlineAfu
+from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.mem.coherence import LineState
 from repro.sim.bulk import BULK_STATS
@@ -63,16 +73,19 @@ def _cache(cache):
 
 def _fingerprint(p):
     """Every piece of platform state a train replays, compared with ==."""
-    t2 = p.t2
-    link = t2.port.link
+    t2, t3 = p.t2, p.t3
     dcoh = t2.dcoh
     return {
         "now": p.sim.now,
         "rng": (t2.lsu.rng.state(), p.core.rng.state(), p.rng.state()),
-        "link": (link.messages, link.bytes_moved),
+        "link": [(link.messages, link.bytes_moved)
+                 for link in (t2.port.link, t3.port.link)],
         "channels": [(ch.reads, ch.writes)
-                     for ch in p.home.mem.channels + t2.dev_mem.channels],
-        "counters": (dcoh.d2h_count, dcoh.d2d_count, t2.h2d_writes),
+                     for ch in (p.home.mem.channels + t2.dev_mem.channels
+                                + t3.dev_mem.channels)],
+        "counters": (dcoh.d2h_count, dcoh.d2d_count, t2.h2d_reads,
+                     t2.h2d_writes, t3.h2d_reads, t3.h2d_writes),
+        "bias": dict(t2.bias._mode),
         "dmc": _cache(dcoh.dmc),
         "hmc": _cache(dcoh.hmc),
         "llc": _cache(p.home.llc),
@@ -104,6 +117,9 @@ MICRO_SCENARIOS = {
     "d2h-nc-wr-mem": lambda mb: mb.d2h(D2HOp.NC_WRITE, llc_hit=False),
     "d2h-nc-p": lambda mb: mb.d2h(D2HOp.NC_P, llc_hit=False),
     "h2d-nt-st": lambda mb: mb.h2d(HostOp.NT_STORE, "t2"),
+    "h2d-ld-modified": lambda mb: mb.h2d(HostOp.LOAD, "t2",
+                                         LineState.MODIFIED),
+    "h2d-st-t3": lambda mb: mb.h2d(HostOp.STORE, "t3"),
     "d2d-cs-rd-host": lambda mb: mb.d2d(
         D2HOp.CS_READ, BiasMode.HOST, dmc_hit=False),
     "d2d-nc-rd-dev": lambda mb: mb.d2d(
@@ -384,6 +400,316 @@ def test_serial_train_matches_dependent_loop(path, bias, cache_hit, llc_hit,
             lat += [p.sim.run_process(make(a)) for a in addrs]
         twins.append((lat, _fingerprint(p)))
     assert twins[0] == twins[1]
+
+
+# ---------------------------------------------------------------------------
+# H2D trains: every op, target and DMC state against the per-line lines
+
+H2D_SCENARIOS = {        # name -> (target, DMC state primed on every line)
+    "t3": ("t3", None),
+    "miss": ("t2", None),
+    "shared": ("t2", LineState.SHARED),
+    "owned": ("t2", LineState.OWNED),
+    "exclusive": ("t2", LineState.EXCLUSIVE),
+    "modified": ("t2", LineState.MODIFIED),
+}
+
+
+def _round_system():
+    """Round link, DRAM and device costs, so that lines meet at a stage
+    at equal floats far more often than at the defaults, and a short
+    write queue that fills."""
+    link = LinkConfig("round", propagation_ns=35.0, bytes_per_ns=16.0)
+    dram = DramConfig("round", read_ns=128.0, bytes_per_ns=16.0,
+                      write_queue_entries=4)
+    return SystemConfig(
+        host=HostConfig(cxl_load_mlp=6, cxl_nt_load_mlp=8,
+                        cxl_store_window=4, issue_ns=8.0),
+        cxl_t2=CxlType2Config(link=link, dram=dram, h2d_dmc_check_ns=16.0,
+                              h2d_state_change_ns=32.0,
+                              h2d_modified_writeback_ns=128.0,
+                              h2d_fabric_ns=128.0),
+        cxl_t3=CxlType3Config(link=link, dram=dram, h2d_fabric_ns=128.0))
+
+
+def _h2d_twin(op, scenario, serial, n, seed, bulk, cfg=None):
+    """Three rounds of ``n`` H2D lines on a fresh platform, as trains
+    (``bulk``) or per-line; returns each round's latencies (serial) or
+    per-line completion times (pipelined), and the fingerprint."""
+    target, state = H2D_SCENARIOS[scenario]
+    p = Platform(cfg, seed=seed)
+    device = getattr(p, target)
+    out = []
+    for __ in range(3):
+        addrs = p.fresh_dev_lines(n)
+        p.rng.shuffle(addrs)
+        if state is not None:
+            for addr in addrs:
+                p.t2.dcoh._fill_dmc(addr, state)
+        train = (fastpath.try_h2d_train(p, p.core, op, device, addrs,
+                                        serial=serial) if bulk else None)
+        if train is not None:
+            out.append(p.sim.run_process(train))
+        elif serial:
+            out.append([p.sim.run_process(p.core.cxl_op(op, a, device))
+                        for a in addrs])
+        else:
+            done = [0.0] * n
+
+            def line(k, addr):
+                yield from p.core.cxl_op(op, addr, device)
+                done[k] = p.sim.now
+
+            for k, addr in enumerate(addrs):
+                p.sim.spawn(line(k, addr))
+            p.sim.run()
+            out.append(done)
+    return out, _fingerprint(p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from(list(HostOp)),
+       scenario=st.sampled_from(sorted(H2D_SCENARIOS)),
+       serial=st.booleans(), n=st.integers(2, 80),
+       round_costs=st.booleans(), seed=st.integers(0, 2**16))
+def test_h2d_train_matches_per_line(op, scenario, serial, n, round_costs,
+                                    seed):
+    """ld, nt-ld, st and nt-st, into the Type-3 device or a Type-2
+    device whose DMC misses or holds every line in one state; a
+    pipelined train matches the lines' completion times, a serial one
+    their latencies.  Only a write that would wait for a full write
+    queue may refuse (``h2d-order``)."""
+    cfg = _round_system() if round_costs else None
+    per_line = _h2d_twin(op, scenario, serial, n, seed, False, cfg)
+    BULK_STATS.reset()
+    trained = _h2d_twin(op, scenario, serial, n, seed, True, cfg)
+    assert trained == per_line
+    stats = BULK_STATS.snapshot()
+    assert set(stats["fallbacks"]) <= {"h2d-order"}, stats
+    if not stats["fallbacks"]:
+        assert stats["total_batches"] == 3, stats
+    elif not round_costs:
+        assert scenario == "modified" and op is HostOp.NT_STORE, stats
+
+
+def test_h2d_trains_refuse_mixed_dmc_states():
+    """One line of the train in another state, or absent, takes another
+    branch of the DMC check: the train is refused (``dmc-state``)."""
+    p = Platform(seed=3)
+    dcoh = p.t2.dcoh
+    addrs = p.fresh_dev_lines(8)
+    for addr in addrs:
+        dcoh._fill_dmc(addr, LineState.SHARED)
+    BULK_STATS.reset()
+    dcoh.dmc.set_state(addrs[3], LineState.OWNED)
+    assert fastpath.try_h2d_train(p, p.core, HostOp.LOAD, p.t2,
+                                  addrs) is None
+    dcoh.dmc.set_state(addrs[3], LineState.INVALID)
+    assert fastpath.try_h2d_train(p, p.core, HostOp.STORE, p.t2,
+                                  addrs) is None
+    assert BULK_STATS.fallbacks == {"dmc-state": 2}
+    assert fastpath.try_h2d_train(p, p.core, HostOp.LOAD, p.t2,
+                                  addrs[4:]) is not None
+
+
+def test_h2d_train_refuses_an_inline_afu():
+    p = Platform(seed=3)
+    p.t3.attach_inline_afu(InlineAfu())
+    BULK_STATS.reset()
+    assert fastpath.try_h2d_train(p, p.core, HostOp.LOAD, p.t3,
+                                  p.fresh_dev_lines(4)) is None
+    assert BULK_STATS.fallbacks == {"h2d-target": 1}
+
+
+# ---------------------------------------------------------------------------
+# PCIe MMIO writes: one chained train per quiescent writer
+
+
+@pytest.mark.parametrize("depth,nbytes", [(1, 256), (4, 64), (4, 1024)])
+def test_mmio_write_train_matches_concurrent_per_line_writers(depth,
+                                                              nbytes):
+    """``depth`` per-line writers take the ordering slot in turn, so the
+    last beat ends where one stream of all their beats does."""
+    def per_line():
+        p = Platform(seed=2)
+        done = []
+
+        def writer():
+            yield from p.pcie.mmio_write(nbytes)
+            done.append(p.sim.now)
+
+        for __ in range(depth):
+            p.sim.spawn(writer())
+        p.sim.run()
+        return max(done), p.sim.now
+
+    def trained():
+        p = Platform(seed=2)
+        p.sim.run_process(p.pcie.mmio_write(depth * nbytes))
+        return p.sim.now, p.sim.now
+
+    with flags.override(bulk=False):
+        off = per_line()
+    BULK_STATS.reset()
+    assert trained() == off
+    assert BULK_STATS.batches == {"pcie/mmio-wr": 1}
+    assert BULK_STATS.lines == {"pcie/mmio-wr": depth * nbytes // 64}
+
+
+def test_mmio_write_train_waits_for_a_second_writer():
+    """A writer that finds another holding the ordering slot (the
+    simulator is not quiescent) interleaves with it per beat."""
+    def run():
+        p = Platform(seed=2)
+        done = {}
+
+        def writer(name, nbytes):
+            yield from p.pcie.mmio_write(nbytes)
+            done[name] = p.sim.now
+
+        p.sim.spawn(writer("first", 128))
+        p.sim.spawn(writer("second", 256))
+        p.sim.run()
+        return done
+
+    off, on, stats = _both(run)
+    assert on == off
+    assert stats["batches"] == {}, stats
+    d = SystemConfig().pcie_dev.mmio_write_oneway_ns
+    assert on["first"] == d + d + d          # its second beat waited
+    assert on["second"] == d + d + d + d + d + d
+
+
+def test_mmio_write_train_refuses_a_held_ordering_slot():
+    """A slot held outside any process leaves the simulator quiescent;
+    the train still refuses, and the writer waits as it would per-line
+    (here forever)."""
+    p = Platform(seed=2)
+    p.pcie.port._write_order.acquire()
+    p.sim.run()
+    BULK_STATS.reset()
+    with pytest.raises(SimulationError, match="deadlocked"):
+        p.sim.run_process(p.pcie.mmio_write(256))
+    assert BULK_STATS.batches == {}
+
+
+# ---------------------------------------------------------------------------
+# d2d trains beside queued dirty-victim writebacks
+
+
+def _primed_over_dirty(p, n):
+    """``n`` DMC lines primed SHARED over ``n`` MODIFIED ones in the same
+    sets (the DMC is direct-mapped): ``n`` writebacks queue, unstarted."""
+    dcoh = p.t2.dcoh
+    sets = dcoh.dmc.capacity_lines
+    dirty = p.fresh_dev_lines(n)
+    for addr in dirty:
+        dcoh._fill_dmc(addr, LineState.MODIFIED)
+    p.fresh_dev_lines(sets - n)
+    addrs = p.fresh_dev_lines(n)
+    p.rng.shuffle(addrs)
+    for addr in addrs:
+        dcoh._fill_dmc(addr, LineState.SHARED)
+    return addrs
+
+
+@pytest.mark.parametrize("bias", [BiasMode.HOST, BiasMode.DEVICE])
+def test_co_wr_hit_train_runs_beside_queued_writebacks(bias):
+    """A DMC-hit CO-wr train posts no write, so it starts beside 256
+    queued writebacks, which then run per-line; the result matches the
+    per-line lines running among them."""
+    def run():
+        p = Platform(seed=8)
+        p.t2.bias._mode["devmem"] = bias
+        addrs = _primed_over_dirty(p, 256)
+        assert fastpath.writebacks_queued(p)
+        assert len(p.sim._delta) == 256
+        lsu = p.t2.lsu
+        train = (fastpath.try_lsu_d2d_train(p, lsu, D2HOp.CO_WRITE, addrs,
+                                            beside_writebacks=True)
+                 if flags.get("bulk") else None)
+        if train is not None:
+            done = p.sim.run_process(train)
+            p.sim.run()
+        else:
+            done = [0.0] * len(addrs)
+
+            def line(k, addr):
+                yield from lsu.d2d(D2HOp.CO_WRITE, addr)
+                done[k] = p.sim.now
+
+            for k, addr in enumerate(addrs):
+                p.sim.spawn(line(k, addr))
+            p.sim.run()
+        return done, _fingerprint(p)
+
+    off, on, stats = _both(run)
+    assert on == off
+    assert stats["batches"] == {"d2d/co-wr": 1}, stats
+    assert stats["fallbacks"] == {}, stats
+
+
+def test_trains_that_post_refuse_beside_queued_writebacks():
+    """An NC-wr posts every line and a DMC-miss fill can post a victim:
+    both are refused beside queued writebacks (``pending``); a DMC-hit
+    CS-rd posts nothing and trains."""
+    p = Platform(seed=8)
+    lsu = p.t2.lsu
+    addrs = _primed_over_dirty(p, 64)
+    BULK_STATS.reset()
+    for op, lines in ((D2HOp.NC_WRITE, addrs),
+                      (D2HOp.CO_WRITE, p.fresh_dev_lines(8))):
+        assert fastpath.try_lsu_d2d_train(p, lsu, op, lines,
+                                          beside_writebacks=True) is None
+    assert BULK_STATS.fallbacks == {"pending": 2}
+    p.sim.run_process(fastpath.try_lsu_d2d_train(
+        p, lsu, D2HOp.CS_READ, addrs, beside_writebacks=True))
+    assert BULK_STATS.batches == {"d2d/cs-rd": 1}
+
+
+def test_writebacks_queued_sees_only_unstarted_writebacks():
+    """Quiescent, or anything but unstarted ``dmc.writeback`` spawns
+    queued (another process, or a writeback already running), is not
+    the writebacks-only state."""
+    p = Platform(seed=8)
+    assert not fastpath.writebacks_queued(p)
+    addrs = _primed_over_dirty(p, 4)
+    assert fastpath.writebacks_queued(p)
+    p.sim.spawn(p.t2.lsu.d2d(D2HOp.NC_READ, addrs[0]))
+    assert not fastpath.writebacks_queued(p)
+    p.sim.run()
+    _primed_over_dirty(p, 4)
+    __, step, args = p.sim._delta.popleft()      # one writeback starts
+    step(*args)
+    assert p.sim._delta and not fastpath.writebacks_queued(p)
+
+
+# ---------------------------------------------------------------------------
+# the sampled bulk flag does not outlive its override state
+
+
+@pytest.mark.parametrize("first,then", [(True, False), (False, True)])
+def test_bulk_sample_does_not_leak_into_a_restored_checkpoint(first, then):
+    """A platform trained (or not) under one override state, then
+    checkpointed and forked under another, runs as the new state says:
+    exactly like a platform that ran under it all along."""
+    def work(p):
+        mb = Microbench(p, reps=2, accesses=16)
+        return mb.h2d(HostOp.LOAD, "t2"), _fingerprint(p)
+
+    with flags.override(bulk=first):
+        p = Platform(seed=3)
+        work(p)
+        cp = p.sim.checkpoint(p)
+    with flags.override(bulk=then):
+        BULK_STATS.reset()
+        forked = work(cp.restore())
+        assert (BULK_STATS.total_batches > 0) is then
+    with flags.override(bulk=then):
+        q = Platform(seed=3)
+        work(q)
+        reference = work(q)
+    assert forked == reference
 
 
 # ---------------------------------------------------------------------------

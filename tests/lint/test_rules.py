@@ -261,6 +261,44 @@ def test_sim204_allows_instantiated_generator(tmp_path):
     assert rules == []
 
 
+def test_sim204_resolves_a_bare_name_in_the_scopes_the_call_sees(tmp_path):
+    """A nested plain ``def train()`` in one test does not make the
+    ``train`` local of another test a plain function."""
+    rules = lint_source(tmp_path, """
+        def test_one(sim):
+            def train():
+                return 1
+            return train()
+
+        def test_two(sim, build):
+            train = build()
+            sim.run_process(train)
+    """)
+    assert rules == []
+
+
+def test_sim204_flags_a_plain_def_the_call_can_see(tmp_path):
+    """The enclosing function's own def, and a module def seen from a
+    method (which does not see its class body), are still flagged."""
+    rules = lint_source(tmp_path, """
+        def worker():
+            return 2
+
+        def test_one(sim):
+            def train():
+                return 1
+            sim.run_process(train)
+
+        class Boot:
+            def worker(self):
+                yield 1
+
+            def go(self, sim):
+                sim.spawn(worker)
+    """)
+    assert rules == ["SIM204", "SIM204"]
+
+
 # -- UNIT301: float equality on computed timestamps --------------------------
 
 

@@ -97,6 +97,21 @@ def test_overrides_nest_and_take_booleans():
             assert flags.get("expcache") is None
 
 
+def test_sample_reads_once_per_override_state(monkeypatch):
+    """``sample`` keeps get()'s value until an override block opens or
+    closes; the outer block keeps this test's samples from outliving
+    it."""
+    with flags.override(stats="stream"):
+        monkeypatch.setenv("REPRO_BULK", "0")
+        assert flags.sample("bulk") is False
+        monkeypatch.setenv("REPRO_BULK", "1")
+        assert flags.sample("bulk") is False    # sampled once
+        with flags.override(bulk=False):
+            assert flags.sample("bulk") is False
+        assert flags.sample("bulk") is True     # that block closed: reread
+        assert flags.sample("stats") == "stream"
+
+
 @pytest.mark.parametrize(
     "name", sorted(n for n, (__, bad) in CASES.items() if bad is not None))
 def test_unknown_spelling_raises(monkeypatch, name):
