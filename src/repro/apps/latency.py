@@ -14,7 +14,7 @@ from repro.apps.kvs import RedisServer
 from repro.apps.node import ServerNode
 from repro.apps.ycsb import YcsbOp, YcsbWorkload
 from repro.errors import WorkloadError
-from repro.sim.engine import Timeout
+from repro.sim.engine import Actor, Process, Timeout
 from repro.sim.resources import Resource
 from repro.resilience import NO_RESILIENCE, Tenant
 from repro.sim.rng import DeterministicRng
@@ -77,35 +77,7 @@ class OpenLoopClient:
             if self.policy.armed and not self.policy.admit(self.tenant):
                 self.shed += 1
                 continue
-            sim.spawn(self._request(request.op, request.key), "redis.request")
-
-    def _request(self, op: YcsbOp, key: str) -> Generator[Any, Any, None]:
-        sim = self.node.sim
-        arrived = sim.now
-        yield self.core.acquire()
-        try:
-            service = self.server.service_ns(op) * self.node.service_factor()
-            yield Timeout(service)
-            self.node.app_core_busy_ns += service
-            if self.functional:
-                self._execute(op, key)
-            else:
-                self.server.requests_served += 1
-            if (op is not YcsbOp.READ
-                    and self.direct_reclaim is not None
-                    and self.rng.random() < ALLOC_PROBABILITY):
-                granted = self.node.pressure.consume(1)
-                if self.node.pressure.below_min or granted == 0:
-                    # The allocation cannot be satisfied: this request
-                    # performs direct reclaim itself (SVI-A direct path).
-                    self.direct_reclaim_hits += 1
-                    yield from self.direct_reclaim(self.core)
-        finally:
-            self.core.release()
-        latency = sim.now - arrived
-        self.stats.record(latency)
-        if self.policy.armed:
-            self.policy.record_request(self.tenant, latency)
+            sim.call_soon(_Request(self, request.op, request.key).arrive)
 
     def _execute(self, op: YcsbOp, key: str) -> None:
         """Really run the request against the KVS (functional mode)."""
@@ -118,3 +90,90 @@ class OpenLoopClient:
             value = self.workload.make_value()
             self.server.execute(op, key, value)
             self._written[key] = value
+
+
+class _Request(Actor):
+    """One request, served by engine callbacks rather than a process.
+
+    The callbacks queue the same entries, in the same ``(time, seq)``
+    order, as the generator process they replace (``docs/PERFORMANCE.md``,
+    "KVS requests as callbacks"): :meth:`arrive` takes the spawn's
+    first step, :meth:`granted` the resume on the core grant, and
+    :meth:`served` the resume after the service timeout.  A request that
+    enters direct reclaim finishes in a :class:`_Reclaim` process.  An
+    exception here propagates out of :meth:`Simulator.run`.
+    """
+
+    __slots__ = ("client", "op", "key", "arrived", "service")
+
+    # The race detector's label, as the process it replaces was named.
+    name = "redis.request"
+
+    def __init__(self, client: OpenLoopClient, op: YcsbOp, key: str):
+        self.client = client
+        self.op = op
+        self.key = key
+
+    def arrive(self) -> None:
+        self.arrived = self.client.node.sim.now
+        self.client.core.acquire().add_callback(self.granted)
+
+    def granted(self, __: Any) -> None:
+        client = self.client
+        node = client.node
+        self.service = service = \
+            client.server.service_ns(self.op) * node.service_factor()
+        node.sim.schedule(float(service), self.served)
+
+    def served(self) -> None:
+        client = self.client
+        node = client.node
+        node.app_core_busy_ns += self.service
+        if client.functional:
+            client._execute(self.op, self.key)
+        else:
+            client.server.requests_served += 1
+        if (self.op is not YcsbOp.READ
+                and client.direct_reclaim is not None
+                and client.rng.random() < ALLOC_PROBABILITY):
+            granted = node.pressure.consume(1)
+            if node.pressure.below_min or granted == 0:
+                # The allocation cannot be satisfied: this request
+                # performs direct reclaim itself (SVI-A direct path),
+                # its first step run inline as a `yield from` would.
+                client.direct_reclaim_hits += 1
+                _Reclaim(self, client.direct_reclaim)._step(None)
+                return
+        client.core.release()
+        self._finish()
+
+    def _reclaim(self, reclaim: Callable[[Resource], Generator]
+                 ) -> Generator[Any, Any, None]:
+        client = self.client
+        try:
+            yield from reclaim(client.core)
+        finally:
+            client.core.release()
+        self._finish()
+
+    def _finish(self) -> None:
+        client = self.client
+        latency = client.node.sim.now - self.arrived
+        client.stats.record(latency)
+        if client.policy.armed:
+            client.policy.record_request(client.tenant, latency)
+
+
+class _Reclaim(Process):
+    """The rest of a request that entered direct reclaim: the reclaim
+    generator, then the core release and the sample.  Its steps report
+    as the request's actor, as the process it was part of did."""
+
+    __slots__ = ("actor",)
+    actor: _Request
+
+    def __init__(self, request: _Request,
+                 reclaim: Callable[[Resource], Generator]):
+        super().__init__(request.client.node.sim, request._reclaim(reclaim),
+                         request.name)
+        self.actor = request

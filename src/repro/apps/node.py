@@ -86,6 +86,7 @@ class ServerNode:
         # LLC-pollution bookkeeping: active polluters with weights.
         self._pollution: Dict[str, int] = {}
         self._pollution_weight: Dict[str, float] = {}
+        self._service_factor = 1.0
         self._rr = 0
         self.feature_core_busy_ns = 0.0     # host cycles burned by features
         self.app_core_busy_ns = 0.0
@@ -107,20 +108,27 @@ class ServerNode:
     def pollute_start(self, source: str, weight: float) -> None:
         self._pollution[source] = self._pollution.get(source, 0) + 1
         self._pollution_weight[source] = weight
+        self._sum_pollution()
 
     def pollute_stop(self, source: str) -> None:
         count = self._pollution.get(source, 0)
         if count <= 0:
             raise WorkloadError(f"pollution underflow for {source!r}")
         self._pollution[source] = count - 1
+        self._sum_pollution()
 
-    def service_factor(self) -> float:
-        """Service-time inflation from currently active polluters."""
+    def _sum_pollution(self) -> None:
+        # Summed in polluter insertion order, so every request reads
+        # the float a per-request sum would give.
         factor = 1.0
         for source, count in self._pollution.items():
             if count > 0:
                 factor += self._pollution_weight[source]
-        return factor
+        self._service_factor = factor
+
+    def service_factor(self) -> float:
+        """Service-time inflation from currently active polluters."""
+        return self._service_factor
 
     def pollution_active(self) -> bool:
         return any(count > 0 for count in self._pollution.values())

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import WorkloadError
 from repro.sim.rng import DeterministicRng
@@ -51,8 +51,7 @@ WORKLOADS = {
 }
 
 
-@dataclass(frozen=True)
-class YcsbRequest:
+class YcsbRequest(NamedTuple):
     op: YcsbOp
     key: str
     value_size: int = 0

@@ -244,7 +244,25 @@ class Event:
                 self._callbacks = promoted
 
 
-class Process:
+class Actor:
+    """One actor to the race detector (:mod:`repro.lint.races`).
+
+    An armed :meth:`Simulator.run` attributes every callback bound to an
+    ``Actor`` to that object's :attr:`actor`, and any other callable to
+    itself.  A :class:`Process` is one, so all its steps are one actor;
+    so is a callback-driven task such as a KVS request
+    (:mod:`repro.apps.latency`), whose methods run as plain callbacks.
+    """
+
+    __slots__ = ()
+
+    @property
+    def actor(self) -> "Actor":
+        """The identity this object's callbacks report: itself."""
+        return self
+
+
+class Process(Actor):
     """A running generator-based process.
 
     Created via :meth:`Simulator.spawn`.  A ``Process`` is itself waitable:
@@ -703,8 +721,8 @@ class Simulator:
                         break
                     self.current_task = seq
                     owner = getattr(fn, "__self__", None)
-                    self.current_actor = owner if isinstance(owner, Process) \
-                        else fn
+                    self.current_actor = owner.actor \
+                        if isinstance(owner, Actor) else fn
                     fn(*args)
         finally:
             WHEEL_STATS.fired += fired

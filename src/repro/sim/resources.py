@@ -55,6 +55,11 @@ class Resource:
             self._in_use += 1
             # Deferred wake is the semantic: the grant resumes the caller
             # through the scheduling queue, after already-queued work.
+            # It takes two same-time entries (this one, then the
+            # waiter's resume), and fastpath._replay's keys model both:
+            # granting in one hop (ev.succeed(None) here) reorders
+            # same-time lines against their trains, e.g. in
+            # tests/core/test_fastpath_equiv.py::test_h2d_train_matches_per_line.
             sim.call_soon(ev.succeed, None)  # reprolint: disable=PERF401
         else:
             self._waiters.append(ev)

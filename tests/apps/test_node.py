@@ -95,3 +95,29 @@ def test_nested_same_source_pollution():
     assert node.service_factor() == pytest.approx(1.2)  # still one active
     node.pollute_stop("zswap")
     assert node.service_factor() == 1.0
+
+
+def test_service_factor_is_the_per_request_sum():
+    """The stored factor is the float a sum over the active polluters,
+    in first-start order, gives at every point of a start/stop
+    sequence (weights chosen so the order shows in the last bit)."""
+    node = make_node()
+    weights = {"zswap": 0.1, "ksm": 0.2, "kswapd": 0.7, "dma": 1e-17}
+    rng = DeterministicRng(5)
+    active = {source: 0 for source in weights}
+    started: list = []
+    for __ in range(400):
+        source = sorted(weights)[rng.randint(0, len(weights))]
+        if active[source] and rng.random() < 0.5:
+            node.pollute_stop(source)
+            active[source] -= 1
+        else:
+            node.pollute_start(source, weights[source])
+            active[source] += 1
+            if source not in started:
+                started.append(source)
+        expected = 1.0
+        for s in started:
+            if active[s] > 0:
+                expected += weights[s]
+        assert node.service_factor() == expected

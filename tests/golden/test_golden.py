@@ -16,6 +16,9 @@ the repository root:
     python -m repro fig5 --reps 2 > tests/golden/fig5.txt
     python -m repro fig6 --reps 4 > tests/golden/fig6.txt
     python -m repro fig8 --duration-ms 20 > tests/golden/fig8.txt
+    python -m repro sec7 --duration-ms 20 > tests/golden/sec7.txt
+    python -m repro ext_degradation --duration-ms 20 \\
+        > tests/golden/ext_degradation.txt
     python -m repro ext_scale --requests 20000 > tests/golden/ext_scale.txt
     python -m repro ext_rack --hosts 4 --users 200000 --jobs 2 \\
         > tests/golden/ext_rack.txt
@@ -40,6 +43,8 @@ COMMANDS = {
     "fig5": ("fig5", "--reps", "2"),
     "fig6": ("fig6", "--reps", "4"),
     "fig8": ("fig8", "--duration-ms", "20"),
+    "sec7": ("sec7", "--duration-ms", "20"),
+    "ext_degradation": ("ext_degradation", "--duration-ms", "20"),
     "ext_scale": ("ext_scale", "--requests", "20000"),
     "ext_rack": ("ext_rack", "--hosts", "4", "--users", "200000",
                  "--jobs", "2"),
