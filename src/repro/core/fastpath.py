@@ -1,8 +1,9 @@
 """Exact-replay bulk fast-forward for homogeneous line streams.
 
 The streaming paths of Fig 3-6 — an LSU pulling K host or device
-lines, a host core loading or storing K device lines — walk ~20 engine
-events *per 64 B line*.
+lines, a host core loading or storing K device lines, a remote-socket
+core loading or storing K host lines over UPI — walk ~20 engine events
+*per 64 B line*.
 For a provably homogeneous train those event chains are pure arithmetic:
 every FIFO stage grants either at the arrival float or at the previous
 holder's release float (an unmodified hand-off), and every ``Timeout``
@@ -40,18 +41,18 @@ stream of lines.
 Background work (posted-write drains, dirty-victim writebacks) is
 posted to per-channel write-queue ledgers (:meth:`_Ledgers.post`) and
 covered by ghosts (:func:`_hold` entries) so the simulation clock ends
-on the same final timestamp as the per-line run.  A d2d train that
-posts no write may also start beside queued dirty-victim writebacks
-(:func:`writebacks_queued`): they run per-line alongside it, on write
-queues it never touches.
+on the same final timestamp as the per-line run.  That includes the
+writebacks of the dirty victims a batched DMC prime evicted: a d2d or
+H2D train takes them as ``writebacks`` and posts them ahead of its own
+lines (:func:`try_lsu_d2d_train`).
 
 **Stage order.**  An LSU train's lines reach every shared stage in line
-order, which the d2h and d2d paths guarantee.  An H2D load or ordered
-store meets the shared up wire after its device channel, so a line held
-up at a busy channel is overtaken; the H2D builder replays its lines'
-stage arrivals from a heap in the engine's own order (:func:`_replay`):
-by time, then by when each arrival was scheduled, back to the first
-difference.
+order, which the d2h and d2d paths guarantee.  An H2D or emulated-D2H
+load, or an ordered store, meets its return wire after a memory
+channel, so a line held up at a busy channel is overtaken; the H2D and
+remote builders replay their lines' stage arrivals from a heap in the
+engine's own order (:func:`_replay`): by time, then by when each
+arrival was scheduled, back to the first difference.
 
 Every builder also has a **serial mode** for dependent accesses — the
 microbenchmark's latency phase, where each access runs alone to
@@ -77,18 +78,19 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from heapq import heappop, heappush, heappushpop
-from inspect import GEN_CREATED, getgeneratorstate
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Sequence, Tuple
 
 from repro import flags
 from repro.core.requests import BiasMode, D2HOp, HostOp
 from repro.devices.dcoh import HOST_BIAS_WRITE_GAP_EXTRA_NS
 from repro.errors import DeviceError, SimulationError
 from repro.faults import NO_FAULTS
+from repro.host.home_agent import upi_costs
+from repro.interconnect import upi
 from repro.interconnect.cxl import ACK_BYTES, DATA_BYTES, REQ_BYTES
 from repro.mem.coherence import LineState
 from repro.sim.bulk import BULK_STATS
-from repro.sim.engine import Process, WakeAt
+from repro.sim.engine import WakeAt
 from repro.units import CACHELINE
 
 # Below this, per-line cost is negligible and a train buys nothing.
@@ -263,27 +265,6 @@ def quiescent(p: Any) -> bool:
     return False
 
 
-def writebacks_queued(p: Any) -> bool:
-    """Whether ``p``'s simulator has work queued and all of it is
-    dirty-DMC-victim writebacks not yet started: the ``dmc.writeback``
-    spawns that priming the DMC over dirty lines leaves.
-
-    They queue only on the device channels' write queues and drains, so
-    a d2d train that posts no write may start beside them
-    (``beside_writebacks``); they then run per-line alongside it.  A
-    caller asks this before :func:`quiescent`, which stays strict."""
-    sim = p.sim
-    if sim._times or not sim._delta:
-        return False
-    for __, fn, __ in sim._delta:
-        proc = getattr(fn, "__self__", None)
-        if (type(proc) is not Process or proc.name != "dmc.writeback"
-                or len(proc._stack) != 1
-                or getgeneratorstate(proc._stack[0]) != GEN_CREATED):
-            return False
-    return True
-
-
 def _refusal(p: Any, addrs: List[int], serial: bool,
              resources: Callable[[], List[Any]]) -> Optional[str]:
     """Why no line train over ``addrs`` may start now, or None.
@@ -327,6 +308,16 @@ def _lsu_resources(p: Any, family: str, channels: List[Any]) -> List[Any]:
     return resources
 
 
+def _core_resources(window: Any, link: Any,
+                    channels: List[Any]) -> List[Any]:
+    """Every shared resource a host core's train can queue on: its
+    window, the link's wires and the target memory's channels."""
+    out = [window, *link._wires.values()]
+    for ch in channels:
+        out += [ch._wq, ch._drain, ch._read_bw]
+    return out
+
+
 def _unexpected_writeback(addr: int) -> None:
     raise SimulationError(
         f"bulk train evicted a dirty line ({hex(addr)}) the eligibility "
@@ -334,13 +325,15 @@ def _unexpected_writeback(addr: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _wire_ns(lcfg: Any) -> Tuple[float, float, float, float]:
+def _wire_ns(lcfg: Any, req: int = REQ_BYTES,
+             ack: int = ACK_BYTES) -> Tuple[float, float, float, float]:
     """Serialization time of a request, a request with data, a data
-    message and an ack on a link with config ``lcfg``."""
-    return (lcfg.serialization_ns(REQ_BYTES),
-            lcfg.serialization_ns(REQ_BYTES + DATA_BYTES),
+    message and an ack on a link with config ``lcfg``, whose requests
+    and acks carry ``req`` and ``ack`` bytes (CXL's by default)."""
+    return (lcfg.serialization_ns(req),
+            lcfg.serialization_ns(req + DATA_BYTES),
             lcfg.serialization_ns(DATA_BYTES),
-            lcfg.serialization_ns(ACK_BYTES))
+            lcfg.serialization_ns(ack))
 
 
 def _hold() -> None:
@@ -442,11 +435,10 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
             BULK_STATS.fallback("mixed-branch")
             return None
         if op is D2HOp.CS_READ and branch != "hmc":
-            # Fills can evict resident lines mid-train; a dirty (or
-            # poisoned) victim would spawn a wire-using writeback the
-            # replay does not model.
-            if any(line.state.is_dirty or line.poisoned
-                   for line in hmc.lines()):
+            # Fills can evict resident lines of their sets mid-train; a
+            # dirty (or poisoned) victim would spawn a wire-using
+            # writeback the replay does not model.
+            if hmc.any_dirty_in_sets(addrs):
                 BULK_STATS.fallback("dirty-hmc")
                 return None
     elif op is D2HOp.NC_WRITE:
@@ -535,9 +527,6 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                 down_free = t
                 t += prop
                 c = t
-                if cs_fill:
-                    hmc.insert(addr, LineState.SHARED,
-                               writeback=_unexpected_writeback)
         else:
             t = (t if wp_free <= t else wp_free) + gap_ns
             wp_free = t
@@ -566,6 +555,10 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         heappush(win_heap, (c, k))
         raws[k] = c - (g if serial else t0)
 
+    # Lines fill the HMC in completion order, which is line order;
+    # nothing reads it in between.
+    if cs_fill and not at_hmc:
+        hmc.fill(addrs, LineState.SHARED, _unexpected_writeback)
     # Caches the pre-scan proved every line misses are not looked up
     # per line: a miss has no LRU effect, only its count.
     if is_read and not at_hmc:
@@ -591,7 +584,7 @@ def try_lsu_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
 
 def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
                       serial: bool = False,
-                      beside_writebacks: bool = False) -> Optional[
+                      writebacks: Sequence[int] = ()) -> Optional[
                           Generator[Any, Any, List[float]]]:
     """Attempt to batch ``lsu.d2d(op, addr) for addr in addrs``.
 
@@ -601,10 +594,15 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     Dirty DMC victims evicted by fills are replayed into the device
     channels' write-queue ledgers, exactly like the per-line writeback
     processes they stand in for.  ``serial`` as for
-    :func:`try_lsu_train`.  ``beside_writebacks`` says the simulator
-    holds queued writebacks (:func:`writebacks_queued`): the train then
-    starts only if it posts no write (no NC-wr, no DMC fill), and is
-    otherwise refused as ``pending``."""
+    :func:`try_lsu_train`.
+
+    ``writebacks`` are the dirty victims of a batched DMC prime
+    (:meth:`~repro.devices.dcoh.DcohSlice.prime_dmc`), in victim order.
+    Per-line, each is a ``dmc.writeback`` process spawned ahead of the
+    lines, so its write reaches its device channel at the start, before
+    any line's: the train posts them first.  A serial train's first line
+    runs beside them; each later line starts at the previous line's
+    drain end, which includes theirs."""
     if op not in _D2D_OPS or len(addrs) < MIN_TRAIN_LINES:
         return None
     t2 = p.t2
@@ -664,9 +662,6 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
         return None
     fills = not at_dmc and op in (D2HOp.CS_READ, D2HOp.CO_READ,
                                   D2HOp.CO_WRITE)
-    if beside_writebacks and (fills or op is D2HOp.NC_WRITE):
-        BULK_STATS.fallback("pending")
-        return None
     if fills and dmc.poison_seen and any(line.poisoned
                                          for line in dmc.lines()):
         # A poisoned victim would defer device-memory poison through
@@ -698,6 +693,8 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
 
     t0 = c = p.sim.now
     wq = _ledgers(p, t0)
+    for victim in writebacks:
+        wq.post(channels, victim, t0)
     completions = [0.0] * K
     raws = [0.0] * K
     win_free, win_heap = lsu.cfg.lsu_outstanding, []
@@ -705,7 +702,7 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
     rd_free = [0.0] * nch           # per channel index
 
     for k, addr in enumerate(addrs):
-        if serial:                  # the previous line's drain end
+        if serial and k:            # the previous line's drain end
             g = c if wq.end <= c else wq.end
         elif win_free:              # window admission: a free slot now,
             win_free -= 1
@@ -791,17 +788,19 @@ def try_lsu_d2d_train(p: Any, lsu: Any, op: D2HOp, addrs: List[int],
 # H2D trains (host core -> CXL.mem -> Type-2 or Type-3 device memory)
 # ----------------------------------------------------------------------
 
-# The steps of an H2D line's program (see :func:`try_h2d_train`):
-# ``_WAIT`` is one Timeout; ``_DOWN``, ``_READ`` and ``_UP`` hold the
-# down wire, the line's channel read slot and the up wire (FIFO, one
-# holder); ``_POST`` posts a write to the line's channel; ``_DONE`` is
-# the line's completion.
+# The steps of a host core line's program (see :func:`try_h2d_train`
+# and :func:`try_remote_train`): ``_WAIT`` is one Timeout; ``_DOWN``,
+# ``_READ`` and ``_UP`` hold the link's ``TO_DEVICE`` wire, the line's
+# channel read slot and the ``TO_HOST`` wire (FIFO, one holder);
+# ``_POST`` posts a write to the line's channel; ``_DONE`` is the line's
+# completion.
 _WAIT, _DOWN, _READ, _POST, _UP, _DONE = range(6)
 
 
 def _stream(prog: List[Tuple[int, float]], chan: List[int],
-            queues: List[_ChannelLedger], t0: float, width: int,
-            serial: bool) -> Tuple[List[float], List[float], float]:
+            queues: List[_ChannelLedger], t0: float, end: float,
+            width: int, serial: bool) -> Tuple[List[float], List[float],
+                                               float]:
     """Replay an nt-st program whose posted write is its one channel
     stage, line by line: the down wire takes the lines in window order,
     so they complete, and post their writes, in line order.  Arguments
@@ -816,9 +815,9 @@ def _stream(prog: List[Tuple[int, float]], chan: List[int],
     raws = [0.0] * K
     window: List[float] = []
     down_free = 0.0
-    end = c = t0
+    c = t0
     for k in range(K):
-        if serial:                  # the previous line's drain end
+        if serial and k:            # the previous line's drain end
             g = c if end <= c else end
         elif k < width:             # a free window slot at the start,
             g = t0
@@ -843,17 +842,19 @@ def _stream(prog: List[Tuple[int, float]], chan: List[int],
 
 
 def _replay(prog: List[Tuple[int, float]], chan: List[int],
-            queues: List[_ChannelLedger], t0: float, width: int,
-            serial: bool) -> Optional[Tuple[List[float], List[float],
-                                            float]]:
+            queues: List[_ChannelLedger], t0: float, end: float,
+            width: int, serial: bool) -> Optional[Tuple[List[float],
+                                                        List[float],
+                                                        float]]:
     """Replay line programs in the order the engine would run them.
 
     Line ``k`` reads from and posts to channel ``chan[k]``, whose ledger
     is ``queues[chan[k]]`` (scratch copies, so a refused replay leaves
-    the platform's ledgers as they were).  Pipelined, the first
-    ``width`` lines start at ``t0`` and each completion hands its window
-    slot to the next line; serial, line *k* starts alone at line *k-1*'s
-    drain end.
+    the platform's ledgers as they were); ``end`` is the latest drain
+    end already posted to them.  Pipelined, the first ``width`` lines
+    start at ``t0`` and each completion hands its window slot to the
+    next line; serial, line 0 starts at ``t0`` and line *k* alone at
+    line *k-1*'s drain end.
 
     A line overtaken at a channel reaches the shared up wire later, so
     stage arrivals are taken from a heap in the engine's order.  Each
@@ -884,7 +885,6 @@ def _replay(prog: List[Tuple[int, float]], chan: List[int],
     nch = len(queues)
     frees = [0.0] * (nch + 2)
     free_keys: List[tuple] = [()] * (nch + 2)
-    end = t0
     done_at = -1.0
     heap: List[Tuple[tuple, int, int]] = []
 
@@ -959,7 +959,8 @@ def _replay(prog: List[Tuple[int, float]], chan: List[int],
 
 
 def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
-                  addrs: List[int], serial: bool = False) -> Optional[
+                  addrs: List[int], serial: bool = False,
+                  writebacks: Sequence[int] = ()) -> Optional[
                       Generator[Any, Any, List[float]]]:
     """Attempt to batch ``core.cxl_op(op, addr, device) for addr in
     addrs``: host ld, nt-ld, st or nt-st lines into the memory of the
@@ -972,7 +973,8 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     program of Timeouts and stages (:func:`_replay`); an nt-st line
     retires at the controller and its posted device write runs on as
     background work.  Writes go to the device channels' write-queue
-    ledgers.  ``serial`` as for :func:`try_lsu_train`."""
+    ledgers.  ``serial`` as for :func:`try_lsu_train`; ``writebacks``,
+    the Type-2 DMC's, as for :func:`try_lsu_d2d_train`."""
     if len(addrs) < MIN_TRAIN_LINES:
         return None
     t2 = p.t2
@@ -980,14 +982,8 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     link = device.port.link
     channels = device.dev_mem.channels
     window = core._win[("cxl", op)]
-
-    def resources() -> List[Any]:
-        out = [window, *link._wires.values()]
-        for ch in channels:
-            out += [ch._wq, ch._drain, ch._read_bw]
-        return out
-
-    reason = _refusal(p, addrs, serial, resources)
+    reason = _refusal(p, addrs, serial,
+                      lambda: _core_resources(window, link, channels))
     if reason is None:
         if to_t2:
             if t2.checks_in_flight:     # a per-line DMC check still to come
@@ -1055,11 +1051,15 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     nch = len(channels)
     chan = [(a // CACHELINE) % nch for a in addrs]
     queues = [wq[ch].copy() for ch in channels]
+    end = t0
+    for victim in writebacks:       # the prime's, ahead of the lines
+        __, drained = queues[(victim // CACHELINE) % nch].write(t0)
+        end = drained if drained > end else end
     width = 1 if serial else min(window.capacity, K)
     if op is HostOp.NT_STORE and state is not LineState.MODIFIED:
-        replayed = _stream(prog, chan, queues, t0, width, serial)
+        replayed = _stream(prog, chan, queues, t0, end, width, serial)
     else:
-        replayed = _replay(prog, chan, queues, t0, width, serial)
+        replayed = _replay(prog, chan, queues, t0, end, width, serial)
     if replayed is None:
         BULK_STATS.fallback("h2d-order")
         return None
@@ -1070,6 +1070,8 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
     for ch, queue in zip(channels, queues):
         wq[ch] = queue
     wq.end = end
+    for victim in writebacks:
+        channels[(victim // CACHELINE) % nch].writes += 1
     for ci in chan:
         channel = channels[ci]
         channel.writes += posts
@@ -1095,6 +1097,116 @@ def try_h2d_train(p: Any, core: Any, op: HostOp, device: Any,
             for addr in addrs:
                 dmc.set_state(addr, after)
     kind = ("h2d-serial/" if serial else "h2d/") + op.value
+    return _launch(p, kind, core, completions, raws, end, serial)
+
+
+def try_remote_train(p: Any, core: Any, op: HostOp, addrs: List[int],
+                     serial: bool = False) -> Optional[
+                         Generator[Any, Any, List[float]]]:
+    """Attempt to batch ``core.remote_op(op, addr, p.home, p.upi) for
+    addr in addrs``: Fig 3's emulated D2H, a remote-socket core's ld,
+    nt-ld, st or nt-st lines to home memory over UPI.
+
+    Every line must hit the LLC, or every line miss it.  A line's
+    program (:func:`_replay`) is the remote window, the issue (and nt)
+    Timeouts, the request up the UPI wire, the home agent's Timeouts,
+    a host channel's read slot (a miss; a store's directory fetch) or
+    posted write (nt-st), and the data or ack back down.  Lines reach
+    the up wire in line order, so the home agent's LLC lookups,
+    downgrades and invalidations are applied in line order; none of
+    them changes a line's timing.  ``serial`` as for
+    :func:`try_lsu_train`."""
+    if len(addrs) < MIN_TRAIN_LINES:
+        return None
+    home, link = p.home, p.upi.link
+    channels = home.mem.channels
+    window = core._win[("remote", op)]
+    reason = _refusal(p, addrs, serial,
+                      lambda: _core_resources(window, link, channels))
+    if reason is None and (link.dead or link.faults is not NO_FAULTS
+                           or link._retrain_until):
+        reason = "link-ras"
+    if reason is not None:
+        _refuse(reason)
+        return None
+    K = len(addrs)
+    llc = home.llc
+    resident = llc.residency(addrs)[0]
+    if 0 < resident < K:
+        BULK_STATS.fallback("mixed-branch")
+        return None
+    hit = resident == K
+
+    # -- the line program: Core.remote_op and the home agent's path ----
+    read = op.is_read
+    hcfg, lcfg, dcfg = home.cfg, link.cfg, channels[0].cfg
+    costs = upi_costs(core.cfg)
+    ser_req, ser_req_data, ser_data, ser_ack = _wire_ns(
+        lcfg, upi.REQ_BYTES, upi.ACK_BYTES)
+    prop = lcfg.propagation_ns
+    prog = [(_WAIT, core.cfg.issue_ns)]
+    if op is HostOp.NT_LOAD:
+        prog.append((_WAIT, core.cfg.nt_load_extra_ns))
+    if op is HostOp.NT_STORE:       # HomeAgent.write_invalidate, posted
+        prog += [(_WAIT, core.cfg.nt_store_post_ns), (_UP, ser_req_data),
+                 (_WAIT, prop), (_WAIT, costs.write_ns)]
+        if hit:
+            prog.append((_WAIT, hcfg.llc_ns))
+        prog += [(_POST, 0.0), (_DONE, 0.0)]
+    else:                           # read_shared, or grant_ownership
+        prog += [(_UP, ser_req), (_WAIT, prop),
+                 (_WAIT, costs.read_ns if read else costs.write_ns),
+                 (_WAIT, hcfg.llc_ns)]
+        if not hit:
+            if read:
+                prog.append((_WAIT, costs.miss_extra_ns))
+            prog += [(_READ, CACHELINE / dcfg.bytes_per_ns),
+                     (_WAIT, dcfg.read_ns)]
+        prog += [(_DOWN, ser_data if read else ser_ack), (_WAIT, prop),
+                 (_DONE, 0.0)]
+
+    t0 = p.sim.now
+    wq = _ledgers(p, t0)
+    nch = len(channels)
+    chan = [(a // CACHELINE) % nch for a in addrs]
+    queues = [wq[ch].copy() for ch in channels]
+    width = 1 if serial else min(window.capacity, K)
+    replayed = _replay(prog, chan, queues, t0, t0, width, serial)
+    if replayed is None:
+        BULK_STATS.fallback("remote-order")
+        return None
+    completions, raws, end = replayed
+
+    # -- eligibility proven: commit the side effects --------------------
+    if op is HostOp.NT_STORE:
+        for ch, queue in zip(channels, queues):
+            wq[ch] = queue
+        wq.end = end
+        for ci in chan:
+            channels[ci].writes += 1
+        link.messages += K
+        link.bytes_moved += (upi.REQ_BYTES + DATA_BYTES) * K
+        if hit:
+            for addr in addrs:
+                llc.set_state(addr, LineState.INVALID)
+    else:
+        link.messages += 2 * K
+        link.bytes_moved += (upi.REQ_BYTES + (
+            DATA_BYTES if read else upi.ACK_BYTES)) * K
+        if not hit:
+            llc.misses += K
+            for ci in chan:
+                channels[ci].reads += 1
+        elif read:
+            for addr in addrs:
+                line = llc.lookup(addr)
+                if line.state.needs_downgrade_for_share:
+                    line.state = LineState.SHARED
+        else:
+            for addr in addrs:
+                llc.lookup(addr)
+                llc.set_state(addr, LineState.INVALID)
+    kind = ("remote-serial/" if serial else "remote/") + op.value
     return _launch(p, kind, core, completions, raws, end, serial)
 
 

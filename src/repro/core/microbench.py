@@ -14,25 +14,24 @@ The paper uses N = 16 64 B accesses ("frequent host-device transfers of
 small amounts of data") and >=1 K repetitions; repetitions here default
 lower for CI speed but are configurable.
 
-Both phases of the D2H, D2D and H2D scenarios (Type-2 in every DMC
-state, and Type-3) replay through the exact-replay trains of
-:mod:`repro.core.fastpath` when eligible: the bandwidth phase as one
+Both phases of the D2H, emulated-D2H, D2D and H2D scenarios (Type-2
+in every DMC state, and Type-3) replay through the exact-replay trains
+of :mod:`repro.core.fastpath` when eligible: the bandwidth phase as one
 pipelined train, the latency phase as one *serial* train, bit-exact to
 the per-line ``run_process`` loop.  A train starts from a quiescent
-simulator.  When ``prepare()`` left dirty-victim writebacks queued, the
-latency phase runs its first access per-line (its run drains the
-writebacks) and trains the rest; a D2D bandwidth phase whose lines post
-no write (DMC-hit CO-wr and reads, NC-rd) trains beside the writebacks,
-which run per-line alongside it, and any other bandwidth phase runs
-per-line.  The emulated-D2H and after-NC-P scenarios have no train
-family and always run per-line.
+simulator.  A DMC prime fills the DMC in one batched call and returns
+its dirty victims; the phase's train posts their writebacks before its
+own lines, and a phase that runs per-line spawns them first, as the
+line-by-line fill did.  The after-NC-P scenarios have no train family,
+and true D2H CO-wr none either (its MODIFIED HMC fills can evict dirty
+lines, whose writebacks take the CXL wires): both run per-line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
 from repro.core import fastpath
 from repro.core.platform import Platform
@@ -55,11 +54,13 @@ class Measurement:
 
 
 OpFactory = Callable[[int], Generator[Any, Any, float]]
-PrepareFn = Callable[[list[int]], None]
+# ``prepare(addrs)`` primes the caches and returns the dirty DMC
+# victims whose writebacks the phase owes.
+PrepareFn = Callable[[list[int]], Sequence[int]]
 # Optional bulk fast-forward: ``bulk(addrs)`` returns a train bit-exact
 # to the pipelined run, ``bulk(addrs, serial=True)`` one bit-exact to
-# the dependent-access loop, or None (per-line fallback).  A D2D ``bulk``
-# also takes ``beside_writebacks=True`` (see ``_measure``).
+# the dependent-access loop, or None (per-line fallback).  A scenario
+# whose prepare() can return victims takes them as ``writebacks=``.
 BulkFn = Callable[..., Optional[Generator[Any, Any, list[float]]]]
 
 
@@ -95,11 +96,25 @@ class Microbench:
     # generic measurement core
     # ------------------------------------------------------------------
 
+    def _train(self, bulk: Optional[BulkFn], addrs: list[int],
+                victims: Sequence[int], serial: bool = False) -> Optional[
+                    Generator[Any, Any, list[float]]]:
+        """The phase's train, or None: then the phase runs per-line and
+        the victims' writebacks are spawned first, at this instant."""
+        train = None
+        if bulk is not None:
+            if victims:
+                train = bulk(addrs, serial=serial, writebacks=victims)
+            else:
+                train = bulk(addrs, serial=serial)
+        if train is None:
+            self.p.t2.dcoh.write_back(victims)
+        return train
+
     def _measure(self, label: str, make_op: OpFactory, prepare: PrepareFn,
                  fresh: Callable[[int], list[int]],
                  accesses: Optional[int] = None,
-                 bulk: Optional[BulkFn] = None,
-                 beside_writebacks: bool = False) -> Measurement:
+                 bulk: Optional[BulkFn] = None) -> Measurement:
         n = accesses or self.accesses
         sim = self.p.sim
         latencies: list[float] = []
@@ -107,14 +122,7 @@ class Microbench:
         for __ in range(self.reps):
             # Latency: dependent accesses, one at a time.
             addrs = self._ordered(fresh(n))
-            prepare(addrs)
-            if bulk is not None and not sim.quiescent:
-                # prepare() queued writebacks: this access's run drains
-                # them, and the rest can train (not a ``pending``
-                # fallback: the phase still trains).
-                latencies.append(sim.run_process(make_op(addrs[0])))
-                addrs = addrs[1:]
-            train = bulk(addrs, serial=True) if bulk is not None else None
+            train = self._train(bulk, addrs, prepare(addrs), serial=True)
             if train is not None:
                 latencies += sim.run_process(train)
             else:
@@ -125,7 +133,7 @@ class Microbench:
             # background work (write-queue drains, victim writebacks)
             # continues after the clock stops, as on real hardware.
             addrs = self._ordered(fresh(n))
-            prepare(addrs)
+            victims = prepare(addrs)
             start = sim.now
             done_at: list[float] = []
 
@@ -133,15 +141,8 @@ class Microbench:
                 yield from make_op(addr)
                 done_at.append(sim.now)
 
-            # A D2D phase may train beside the writebacks prepare()
-            # queued, which then run per-line alongside it; any other
-            # train needs a quiescent simulator.
-            if bulk is None:
-                train = None
-            elif beside_writebacks and fastpath.writebacks_queued(self.p):
-                train = bulk(addrs, beside_writebacks=True)
-            else:
-                train = bulk(addrs) if fastpath.quiescent(self.p) else None
+            quiet = bulk is not None and fastpath.quiescent(self.p)
+            train = self._train(bulk if quiet else None, addrs, victims)
             if train is not None:
                 done_at = sim.run_process(train)
             else:
@@ -159,36 +160,32 @@ class Microbench:
     def d2h(self, op: D2HOp, llc_hit: bool) -> Measurement:
         """True D2H accesses from the device LSU (Fig 3, solid bars)."""
         lsu = self.p.t2.lsu
-
-        def prepare(addrs: list[int]) -> None:
-            self._prime_llc(addrs, llc_hit)
-
         return self._measure(
             f"d2h/{op.value}/llc-{int(llc_hit)}",
             lambda addr: lsu.d2h(op, addr),
-            prepare, self.p.fresh_host_lines,
+            partial(self._prime_llc, llc_hit=llc_hit), self.p.fresh_host_lines,
             bulk=partial(fastpath.try_lsu_train, self.p, lsu, op),
         )
 
     def emulated_d2h(self, op: HostOp, llc_hit: bool) -> Measurement:
         """Emulated D2H: remote-socket core over UPI (Fig 3, hatched)."""
         core, home, upi = self.p.core, self.p.home, self.p.upi
-
-        def prepare(addrs: list[int]) -> None:
-            self._prime_llc(addrs, llc_hit)
-
         return self._measure(
             f"emul/{op.value}/llc-{int(llc_hit)}",
             lambda addr: core.remote_op(op, addr, home, upi),
-            prepare, self.p.fresh_host_lines,
+            partial(self._prime_llc, llc_hit=llc_hit), self.p.fresh_host_lines,
+            bulk=partial(fastpath.try_remote_train, self.p, core, op),
         )
 
-    def _prime_llc(self, addrs: Iterable[int], llc_hit: bool) -> None:
+    def _prime_llc(self, addrs: Iterable[int],
+                   llc_hit: bool) -> Sequence[int]:
         """The paper's CLDEMOTE methodology: for hits, confine the lines
-        to the LLC in SHARED; for misses fresh lines are already absent."""
+        to the LLC in SHARED; for misses fresh lines are already absent.
+        No DMC victims are owed."""
         if llc_hit:
             for addr in addrs:
                 self.p.home.preload_llc(addr, LineState.SHARED)
+        return ()
 
     # ------------------------------------------------------------------
     # D2D: host-bias vs device-bias (Fig 4)
@@ -203,17 +200,16 @@ class Microbench:
         else:
             t2.bias._mode["devmem"] = BiasMode.HOST
 
-        def prepare(addrs: list[int]) -> None:
+        def prepare(addrs: list[int]) -> Sequence[int]:
             if dmc_hit:
-                for addr in addrs:
-                    t2.dcoh._fill_dmc(addr, LineState.SHARED)
+                return t2.dcoh.prime_dmc(addrs, LineState.SHARED)
+            return ()
 
         return self._measure(
             f"d2d/{op.value}/{bias.value}/dmc-{int(dmc_hit)}",
             lambda addr: t2.lsu.d2d(op, addr),
             prepare, self.p.fresh_dev_lines, accesses=accesses,
             bulk=partial(fastpath.try_lsu_d2d_train, self.p, t2.lsu, op),
-            beside_writebacks=True,
         )
 
     # ------------------------------------------------------------------
@@ -234,10 +230,10 @@ class Microbench:
             raise WorkloadError("Type-3 device has no DMC to hit")
         core = self.p.core
 
-        def prepare(addrs: list[int]) -> None:
+        def prepare(addrs: list[int]) -> Sequence[int]:
             if dmc_state is not None:
-                for addr in addrs:
-                    self.p.t2.dcoh._fill_dmc(addr, dmc_state)
+                return self.p.t2.dcoh.prime_dmc(addrs, dmc_state)
+            return ()
 
         state = dmc_state.value if dmc_state else "miss"
         return self._measure(
@@ -252,10 +248,11 @@ class Microbench:
         NC-P (Fig 5, lighter DMC-0 bars; Insight 4)."""
         core, home = self.p.core, self.p.home
 
-        def prepare(addrs: list[int]) -> None:
+        def prepare(addrs: list[int]) -> Sequence[int]:
             # The NC-P itself leaves the line MODIFIED in the LLC.
             for addr in addrs:
                 home.preload_llc(addr, LineState.MODIFIED)
+            return ()
 
         if op.is_read:
             make = lambda addr: core.llc_load(addr, home)

@@ -23,7 +23,7 @@ mode skips the host entirely (SIV-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.config import CxlType2Config
 from repro.core.requests import BiasMode, D2HOp, MemLevel
@@ -351,6 +351,21 @@ class DcohSlice:
 
     def _dmc_writeback(self, addr: int) -> None:
         self.sim.spawn(self._dmc_writeback_proc(addr), "dmc.writeback")
+
+    def prime_dmc(self, addrs: Iterable[int], state: LineState) -> List[int]:
+        """Methodology: fill the DMC with ``addrs`` in ``state`` at once.
+
+        Returns the dirty victims in eviction order.  Their writebacks
+        are owed: a bulk train posts them (``writebacks``), or
+        :meth:`write_back` spawns them as :meth:`_fill_dmc` would have."""
+        victims: List[int] = []
+        self.dmc.fill(addrs, state, victims.append)
+        return victims
+
+    def write_back(self, victims: Iterable[int]) -> None:
+        """Spawn the writebacks of DMC ``victims``, in order."""
+        for addr in victims:
+            self._dmc_writeback(addr)
 
     def _dmc_writeback_proc(self, addr: int) -> Generator[Any, Any, None]:
         yield from self.dev_mem.write_line(addr)

@@ -31,6 +31,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.sanitizer import CoherenceSanitizer
 
 _LINE_MASK = ~(CACHELINE - 1)
+# The one dirty state, for hot loops that test ``state is _DIRTY``
+# rather than call the ``is_dirty`` property.
+(_DIRTY,) = [state for state in LineState if state.is_dirty]
 # Read-only stand-in for an absent set: lookups on it miss.
 _NO_LINES: Mapping[int, "CacheLine"] = MappingProxyType({})
 
@@ -250,6 +253,65 @@ class SetAssociativeCache:
             line.owner = self
             self.sanitizer.on_insert(self, line)
         return victim
+
+    def fill(
+        self,
+        addrs: Iterable[int],
+        state: LineState,
+        writeback: Optional[Callable[[int], None]] = None,
+    ) -> None:
+        """``for addr in addrs: self.insert(addr, state, writeback)``,
+        for callers that read nothing between the inserts: the same
+        sets, LRU order, counters, victims, poison-sink and writeback
+        calls, in the same order, at a fraction of the per-line cost.
+        An armed sanitizer or race detector sees each insert."""
+        if self.sanitizer is not None or self.race_detector is not None:
+            for addr in addrs:
+                self.insert(addr, state, writeback)
+            return
+        if state is LineState.INVALID:
+            raise CoherenceError("cannot insert a line in INVALID state")
+        sets, num_sets, ways = self._sets, self.num_sets, self.ways
+        new_line = CacheLine.__new__
+        for addr in addrs:
+            base = addr & _LINE_MASK
+            index = (addr // CACHELINE) % num_sets
+            line_set = sets.get(index)
+            if line_set is None:
+                line_set = sets[index] = OrderedDict()
+            else:
+                existing = line_set.get(base)
+                if existing is not None:
+                    existing._state = state
+                    line_set.move_to_end(base)
+                    continue
+                if len(line_set) >= ways:
+                    __, victim = line_set.popitem(last=False)
+                    victim.owner = None
+                    self.evictions += 1
+                    if victim._state is _DIRTY:
+                        self.writebacks += 1
+                        if victim._poisoned:
+                            self.poison_evictions += 1
+                            if self.poison_sink is not None:
+                                self.poison_sink(victim.addr)
+                        if writeback is not None:
+                            writeback(victim.addr)
+            line = new_line(CacheLine)
+            line.addr, line.owner = base, None
+            line._state, line._poisoned = state, False
+            line_set[base] = line
+
+    def any_dirty_in_sets(self, addrs: Iterable[int]) -> bool:
+        """Whether a set that one of ``addrs`` maps to holds a dirty or
+        poisoned line: the lines filling ``addrs`` could evict."""
+        sets, num_sets = self._sets, self.num_sets
+        for index in dict.fromkeys((addr // CACHELINE) % num_sets
+                                   for addr in addrs):
+            for line in sets.get(index, _NO_LINES).values():
+                if line._poisoned or line._state is _DIRTY:
+                    return True
+        return False
 
     def set_state(self, addr: int, state: LineState) -> None:
         """Transition a resident line's state; INVALID removes the line."""

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CoherenceError, ConfigError
+from repro.lint.sanitizer import CoherenceSanitizer
 from repro.mem.cache import CacheLine, SetAssociativeCache
 from repro.mem.coherence import LineState
+from repro.sim.engine import Simulator
 from repro.units import CACHELINE, kib
 
 
@@ -179,3 +181,64 @@ def test_property_resident_lines_are_valid(line_indices):
     for line in cache.lines():
         assert line.state.is_valid
         assert line.addr % CACHELINE == 0
+
+
+# -- the batched fill against the insert loop it stands in for -------------
+
+VALID_STATES = [s for s in LineState if s is not LineState.INVALID]
+# 48 lines, unaligned offsets included, over 1-8 sets of 1-4 ways.
+fill_addrs = st.integers(0, 48 * CACHELINE - 1)
+
+
+def _filled(sets, ways, resident, addrs, state, armed, batched):
+    """A cache holding ``resident`` (poisoned where flagged), filled with
+    ``addrs``; returns everything a fill may touch."""
+    cache = SetAssociativeCache("fill", sets * ways * CACHELINE, ways)
+    sunk, written = [], []
+    cache.poison_sink = sunk.append
+    for addr, resident_state, poisoned in resident:
+        cache.insert(addr, resident_state, written.append)
+        if poisoned:
+            cache.poison_addr(addr)
+    sanitizer = CoherenceSanitizer(Simulator(), strict=False)
+    if armed:
+        sanitizer.watch(cache)
+    if batched:
+        cache.fill(addrs, state, written.append)
+    else:
+        for addr in addrs:
+            cache.insert(addr, state, written.append)
+    return ([(line.addr, line.state, line.poisoned, line.owner is cache)
+             for line in cache.lines()],
+            len(cache), cache.hits, cache.misses, cache.evictions,
+            cache.writebacks, cache.poison_evictions, cache.poison_seen,
+            written, sunk, sanitizer.checks, len(sanitizer.violations))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets=st.sampled_from([1, 2, 4, 8]), ways=st.sampled_from([1, 2, 4]),
+       resident=st.lists(st.tuples(fill_addrs, st.sampled_from(VALID_STATES),
+                                   st.booleans()), max_size=40),
+       addrs=st.lists(fill_addrs, max_size=60),
+       state=st.sampled_from(VALID_STATES), armed=st.booleans())
+def test_fill_matches_the_insert_loop(sets, ways, resident, addrs, state,
+                                      armed):
+    """Sets, LRU order, counters, writebacks and poison-sink calls in
+    order, owners; with an armed sanitizer, the checks it ran too."""
+    args = (sets, ways, resident, addrs, state, armed)
+    assert _filled(*args, batched=True) == _filled(*args, batched=False)
+
+
+def test_fill_rejects_invalid():
+    with pytest.raises(CoherenceError):
+        make_cache().fill([0x40], LineState.INVALID)
+
+
+def test_any_dirty_in_sets_sees_only_the_fills_sets():
+    cache = make_cache(kib(1), 2)            # 8 sets
+    cache.insert(0x40, LineState.MODIFIED)   # set 1
+    cache.insert(0x80, LineState.SHARED)     # set 2
+    assert cache.any_dirty_in_sets([0x40 + 8 * CACHELINE])
+    assert not cache.any_dirty_in_sets([0x80, 0xC0])
+    cache.poison_addr(0x80)
+    assert cache.any_dirty_in_sets([0x80 + 8 * CACHELINE])
